@@ -9,8 +9,13 @@ and any agreement between the two routes is evidence, not circularity.
 Supported models: Z/n, F_p[x]/(f), F_p[x,y]/(monomial ideal with pure
 powers of both variables), and quotients of any of those by a finitely
 generated ideal.  Multiplication is carried out in blocked numpy index
-tables so that full annihilator scans of rings with a few thousand
-elements stay fast.
+tables.  The annihilator scan of Z/n and of quotient rings groups elements
+by the zero pattern of their table rows; the scan of F_p-algebras
+(F_p[x]/(f) and the bivariate quotients) keys each element r by a k-by-k
+canonical form of its multiplication matrix over F_p, whose kernel is
+ann(r).  That matrix is read off the structure tensor, which is the
+multiplication table in coordinates, so neither scan ever sees a
+factorization.
 """
 
 from __future__ import annotations
@@ -178,7 +183,20 @@ def ring_size(spec) -> int:
 # --- internal models: index arithmetic --------------------------------------
 
 
-class _IntModel:
+class _ZeroPatternKeys:
+    """Scan keys for models with no linear structure: the packed zero
+    pattern of each element's row in the multiplication table."""
+
+    @property
+    def scan_block(self) -> int:
+        return self.row_block
+
+    def scan_keys(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        zero = self.mul_rows(rows) == 0
+        return np.packbits(zero, axis=1), zero.sum(axis=1)
+
+
+class _IntModel(_ZeroPatternKeys):
     def __init__(self, n: int):
         self.n = n
         self.size = n
@@ -207,7 +225,8 @@ class _VectorModel:
 
     Element index i has digits (i // p^t) % p, one per basis monomial; a
     structure tensor M[i,j,t] gives the coefficient of basis monomial t in
-    the product of basis monomials i and j.
+    the product of basis monomials i and j.  Both rings are commutative,
+    so M is symmetric in i and j.
     """
 
     def __init__(self, p: int, struct: np.ndarray):
@@ -215,12 +234,19 @@ class _VectorModel:
         self.k = struct.shape[0]
         self.size = p**self.k
         self.row_block = max(1, 2**19 // self.size)
+        self.scan_block = max(1, 2**18 // self.k**2)
         self.M = struct
         self.radix = p ** np.arange(self.k, dtype=np.int64)
+        # row reduction adds products of two residues to a residue, so its
+        # entries stay below p^2
+        self._reduce_dtype = np.min_scalar_type(p * p - 1)
         if self.size > SCAN_LIMIT:
             self._digits = None
         else:
             self._digits = self._digitize(np.arange(self.size, dtype=np.int64))
+            self._inverse = np.array(
+                [pow(a, -1, p) if a else 0 for a in range(p)], dtype=self._reduce_dtype
+            )
 
     def _digitize(self, idx: np.ndarray) -> np.ndarray:
         return (idx[:, None] // self.radix) % self.p
@@ -232,12 +258,27 @@ class _VectorModel:
             )
         return self._digits
 
+    def mul_matrices(self, rows) -> np.ndarray:
+        """L[r,i,t] = sum_j r_j*M[i,j,t] mod p: row i of L_r holds the
+        coordinates of basis monomial i times r, so x*r = x @ L_r."""
+        r = self._digitize(np.asarray(rows, dtype=np.int64))
+        return np.tensordot(r, self.M, axes=([1], [1])) % self.p
+
     def mul_rows(self, rows) -> np.ndarray:
         digits = self._all_digits()
-        r = self._digitize(np.asarray(rows, dtype=np.int64))
-        t = np.einsum("ri,ijt->rjt", r, self.M) % self.p
-        prod = np.einsum("rjt,cj->rct", t, digits) % self.p
-        return prod @ self.radix
+        return (np.matmul(digits, self.mul_matrices(rows)) % self.p) @ self.radix
+
+    def scan_keys(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Key each element r by the reduced row echelon form of L_r^T.
+
+        ann(r) is the left kernel of L_r, the orthogonal complement of the
+        column space of L_r; that column space is the row space of L_r^T,
+        and its reduced echelon form is unique.  So two elements share a key
+        exactly when their annihilators agree, and |ann(r)| = p^(k - rank).
+        """
+        reduced = self.mul_matrices(rows).transpose(0, 2, 1).astype(self._reduce_dtype, order="C")
+        rank = _row_reduce(reduced, self.p, self._inverse)
+        return reduced.reshape(len(reduced), self.k**2), self.p ** (self.k - rank)
 
     def add_rows(self, rows) -> np.ndarray:
         digits = self._all_digits()
@@ -302,7 +343,7 @@ class _BivarModel(_VectorModel):
         return self.coeffs_to_index(x)
 
 
-class _QuotModel:
+class _QuotModel(_ZeroPatternKeys):
     def __init__(self, spec: QuotientRing):
         base = _model(spec.base)
         if base.size > SCAN_LIMIT:
@@ -354,6 +395,39 @@ def _model(spec):
     raise TypeError(f"unsupported ring spec {spec!r}")
 
 
+def _row_reduce(a: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
+    """Bring each k-by-k matrix of the batch a to reduced row echelon form
+    over F_p, in place, and return the ranks.
+
+    One elimination step per column, vectorized over the batch; inverse[v]
+    is the inverse of v mod p, with inverse[0] = 0.
+    """
+    batch, k, _ = a.shape
+    every = np.arange(batch)
+    row_pos = np.arange(k)
+    rank = np.zeros(batch, dtype=np.intp)
+    for c in range(k):
+        free = (a[:, :, c] != 0) & (row_pos >= rank[:, None])
+        pivot = free.argmax(axis=1)
+        has = free[every, pivot]
+        m = every[has]
+        top = a[m, rank[m]]
+        a[m, rank[m]] = a[m, pivot[m]]
+        a[m, pivot[m]] = top
+        # the normalized pivot row; all zero where column c has no pivot
+        lead = a[every, rank] * inverse[a[every, rank, c]][:, None] % p
+        # adding (p - v) * lead clears an entry v of column c; the pivot row
+        # gets p * lead, which leaves it as it was
+        factor = p - a[:, :, c]
+        factor[every, rank] = p
+        # rows at or below the rank are zero left of column c, so is lead
+        a[:, :, c:] += factor[:, :, None] * lead[:, None, c:]
+        a[:, :, c:] %= p
+        a[m, rank[m]] = lead[m]
+        rank += has
+    return rank
+
+
 def _ideal_indices(model, gen_indices) -> np.ndarray:
     """Indices of the ideal generated by the given elements: all multiples,
     closed under addition to a fixpoint."""
@@ -396,33 +470,54 @@ class _Scan:
 def _scan(spec) -> _Scan:
     """Group every element by its exact annihilator set.
 
-    Groups are keyed by the packed zero-pattern of the element's row in the
-    multiplication table, so two elements land together exactly when their
-    annihilators agree elementwise.  Group ids follow first appearance in
+    Each model keys its elements so that two keys agree exactly when the
+    annihilators do: Z/n and quotient rings by the packed zero pattern of
+    the element's row in the multiplication table, F_p-algebras by a
+    canonical form of the element's multiplication matrix (see
+    _VectorModel.scan_keys).  Group ids follow first appearance in
     enumeration order, which makes everything downstream deterministic.
+    Each group's annihilator mask comes from one table row of its first
+    member, checked against the size the key predicted.
     """
     model = _model(spec)
     n = model.size
     if n > SCAN_LIMIT:
         raise RingTooLarge(f"annihilator scan needs at most {SCAN_LIMIT} elements, ring has {n}")
     class_ids = np.empty(n, dtype=np.int32)
-    by_mask: dict[bytes, int] = {}
-    groups: list[_Group] = []
-    block = model.row_block
+    gid_of: dict[bytes, int] = {}
+    firsts: list[int] = []
+    ann_counts: list[int] = []
+    block = model.scan_block
     for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n), dtype=np.int64)
-        zero = model.mul_rows(rows) == 0
+        keys, counts = model.scan_keys(np.arange(start, min(start + block, n), dtype=np.int64))
+        keys = np.ascontiguousarray(keys)
+        opaque = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+        _, first, inverse = np.unique(opaque, return_index=True, return_inverse=True)
+        local = np.empty(len(first), dtype=np.int32)
+        for u in np.argsort(first):
+            gid = gid_of.setdefault(opaque[first[u]].tobytes(), len(gid_of))
+            if gid == len(firsts):
+                firsts.append(start + int(first[u]))
+                ann_counts.append(int(counts[first[u]]))
+            local[u] = gid
+        class_ids[start : start + len(keys)] = local[inverse.ravel()]
+    groups: list[_Group] = []
+    for start in range(0, len(firsts), model.row_block):
+        reps = firsts[start : start + model.row_block]
+        zero = model.mul_rows(reps) == 0
         packed = np.packbits(zero, axis=1)
-        counts = zero.sum(axis=1)
-        for offset, r in enumerate(rows):
-            key = packed[offset].tobytes()
-            gid = by_mask.get(key)
-            if gid is None:
-                gid = len(groups)
-                by_mask[key] = gid
-                groups.append(_Group(int(r), key, int(counts[offset])))
-            groups[gid].members.append(int(r))
-            class_ids[r] = gid
+        for offset, popcount in enumerate(zero.sum(axis=1)):
+            gid = start + offset
+            if popcount != ann_counts[gid]:
+                raise AssertionError(
+                    f"internal error: element {reps[offset]} annihilates {popcount} "
+                    f"elements, its scan key predicted {ann_counts[gid]}"
+                )
+            groups.append(_Group(reps[offset], packed[offset].tobytes(), ann_counts[gid]))
+    by_class = np.argsort(class_ids, kind="stable")
+    ends = np.cumsum(np.bincount(class_ids, minlength=len(groups)))
+    for g, members in zip(groups, np.split(by_class, ends[:-1])):
+        g.members = members.tolist()
     zd_gids = tuple(
         gid for gid, g in enumerate(groups) if g.ann_count >= 2 and g.first != 0
     )

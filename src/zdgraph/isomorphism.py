@@ -157,36 +157,48 @@ def graphs_isomorphic(
     used = [False] * len(g2.vertices)
     nodes = 0
 
-    def extend(depth):
+    def consistent(v, w):
+        if used[w] or len(adj1[v]) != len(adj2[w]):
+            return False
+        for u in range(n):
+            m = mapping[u]
+            if m >= 0 and u != v and ((u in adj1[v]) != (m in adj2[w])):
+                return False
+        return True
+
+    def search():
+        """Depth-first over order, with an explicit stack so that graphs of
+        any size fit: cursor[d] is the next candidate to try at depth d."""
         nonlocal nodes
-        if depth == n:
-            return True
-        v = order[depth]
-        for w in candidates[v]:
-            if used[w] or len(adj1[v]) != len(adj2[w]):
-                continue
-            ok = True
-            for u in range(n):
-                m = mapping[u]
-                if m >= 0 and u != v and ((u in adj1[v]) != (m in adj2[w])):
-                    ok = False
-                    break
-            if not ok:
+        cursor = [0] * (n + 1)
+        depth = 0
+        while depth >= 0:
+            if depth == n:
+                return True
+            v = order[depth]
+            if mapping[v] >= 0:
+                used[mapping[v]] = False
+                mapping[v] = -1
+            options = candidates[v]
+            i = cursor[depth]
+            while i < len(options) and not consistent(v, options[i]):
+                i += 1
+            if i == len(options):
+                depth -= 1
                 continue
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
                     f"isomorphism search exceeded budget of {budget} nodes"
                 )
-            mapping[v] = w
-            used[w] = True
-            if extend(depth + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
+            mapping[v] = options[i]
+            used[options[i]] = True
+            cursor[depth] = i + 1
+            depth += 1
+            cursor[depth] = 0
         return False
 
-    if extend(0):
+    if search():
         pairs = tuple(
             sorted(
                 (g1.vertices[i].label, g2.vertices[mapping[i]].label)

@@ -5,7 +5,10 @@ Python loops so the vectorized implementation has something independent to
 answer to.
 """
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from zdgraph.arithmetic import FpPoly
 from zdgraph.finite_ring import (
@@ -36,6 +39,7 @@ from zdgraph.finite_ring import (
     standard_monomials,
     zero_divisor_classes,
 )
+from zdgraph.finite_ring import _model, _scan
 
 F2XY = BivariateMonomialQuotient(2, ((2, 0), (0, 2)))
 
@@ -208,6 +212,74 @@ class TestZeroDivisorClasses:
             for z in zds:
                 for u in units:
                     assert annihilator(spec, (u * z) % n) == annihilator(spec, z)
+
+
+def reference_scan(spec):
+    """Group elements by the zero pattern of their full multiplication-table
+    row, by first appearance: class ids, (first, members, ann_count, mask)
+    per group, and the ids of the nonzero zero-divisor groups."""
+    model = _model(spec)
+    n = model.size
+    class_ids, groups, gid_of = [], [], {}
+    for start in range(0, n, model.row_block):
+        zero = model.mul_rows(np.arange(start, min(start + model.row_block, n))) == 0
+        for offset, row in enumerate(zero):
+            mask = np.packbits(row).tobytes()
+            if mask not in gid_of:
+                gid_of[mask] = len(groups)
+                groups.append((start + offset, [], int(row.sum()), mask))
+            groups[gid_of[mask]][1].append(start + offset)
+            class_ids.append(gid_of[mask])
+    zd_gids = tuple(gid for gid, g in enumerate(groups) if g[2] >= 2 and g[0] != 0)
+    return class_ids, groups, zd_gids
+
+
+def assert_scan_matches_reference(spec):
+    scan = _scan(spec)
+    class_ids, groups, zd_gids = reference_scan(spec)
+    assert scan.class_ids.tolist() == class_ids
+    assert [(g.first, g.members, g.ann_count, g.mask) for g in scan.groups] == groups
+    assert scan.zd_gids == zd_gids
+
+
+@st.composite
+def poly_quotients(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    degree = draw(st.integers(1, {2: 11, 3: 7, 5: 4, 7: 3}[p]))
+    tail = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+    return PolyQuotient(p, FpPoly(p, tuple(tail) + (1,)))
+
+
+@st.composite
+def bivariate_quotients(draw):
+    # a staircase: column a of the standard monomials holds y^0..y^(h_a - 1)
+    p = draw(st.sampled_from((2, 3)))
+    cap = {2: 11, 3: 7}[p]
+    heights = sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)), reverse=True)
+    while sum(heights) > cap:
+        heights.pop()
+    gens = {(len(heights), 0), (0, heights[0])}
+    gens |= {(a, heights[a]) for a in range(1, len(heights)) if heights[a] < heights[a - 1]}
+    return BivariateMonomialQuotient(p, tuple(gens))
+
+
+class TestLinearScan:
+    """The F_p-algebra scan keys elements by linear algebra; it must give the
+    same groups as grouping full multiplication-table rows."""
+
+    @given(st.one_of(poly_quotients(), bivariate_quotients()))
+    @example(BivariateMonomialQuotient(2, ((3, 0), (2, 1), (0, 3))))
+    @example(PolyQuotient(3, FpPoly(3, (0,) * 7 + (1,))))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_zero_pattern_grouping(self, spec):
+        assert ring_size(spec) <= 2187
+        assert_scan_matches_reference(spec)
+
+    def test_quotient_ring_keeps_zero_pattern_scan(self):
+        base = BivariateMonomialQuotient(2, ((3, 0), (2, 1), (0, 3)))
+        q = quotient_by_ideal(base, [parse_element(base, "x*y")])
+        assert ring_size(q) == 32
+        assert_scan_matches_reference(q)
 
 
 class TestOracleCompressedGraph:

@@ -113,6 +113,20 @@ class TestSearch:
         assert r.isomorphic
         check_witness(g, g2, r.witness)
 
+    def test_search_deeper_than_recursion_limit(self):
+        # one search level per vertex: 1022 levels, past Python's default
+        # recursion limit of 1000
+        g1 = graph_from_factorization(
+            factor_integer(2**3 * 3**3 * 5 * 7 * 11 * 13 * 17 * 19), loops=True
+        )
+        g2 = graph_from_factorization(
+            factor_integer(2 * 3 * 5**3 * 7**3 * 11 * 13 * 17 * 23), loops=True
+        )
+        assert len(g1.vertices) == len(g2.vertices) == 1022
+        r = graphs_isomorphic(g1, g2)
+        assert r.isomorphic
+        check_witness(g1, g2, r.witness)
+
     def test_self_isomorphism_identity_witness(self):
         for g in (CYCLE6, TRIANGLES, graph_from_factorization(factor_integer(360), loops=True)):
             r = graphs_isomorphic(g, g)
