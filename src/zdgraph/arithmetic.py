@@ -14,7 +14,6 @@ of degree up to around 8 over p <= 13 factor quickly by trial division.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from itertools import product as _cartesian
@@ -307,34 +306,15 @@ class Factorization:
 
     def value(self) -> int | FpPoly:
         """Multiply the factorization back out."""
-        if self.backend == "int":
-            out = self.unit
-            for irr, e in self.factors:
-                out *= irr.value**e
-            return out
-        p = self.char
-        if p is None:
+        if self.backend == "poly" and self.char is None:
             raise ValueError("cannot rebuild a polynomial value without factors")
-        out = FpPoly(p, (self.unit,))
-        for irr, e in self.factors:
-            for _ in range(e):
-                out = out * irr.value
-        return out
+        return self.unit * self.divisor(self.exponents())
 
     def divisor(self, vector: tuple[int, ...]) -> int | FpPoly:
         """The canonical divisor with the given exponent vector (no unit)."""
         if len(vector) != len(self.factors):
             raise ValueError("exponent vector length does not match factor count")
-        if self.backend == "int":
-            out = 1
-            for (irr, e), v in zip(self.factors, vector):
-                if not 0 <= v <= e:
-                    raise ValueError(f"exponent {v} out of range [0, {e}]")
-                out *= irr.value**v
-            return out
-        p = self.char
-        assert p is not None
-        out = FpPoly(p, (1,))
+        out = 1 if self.backend == "int" else FpPoly(self.char, (1,))
         for (irr, e), v in zip(self.factors, vector):
             if not 0 <= v <= e:
                 raise ValueError(f"exponent {v} out of range [0, {e}]")
@@ -424,54 +404,31 @@ def factor_polynomial(f: FpPoly | tuple[int, ...] | list[int], p: int | None = N
 # --- multiplicity vectors ---------------------------------------------------
 
 
-def multiplicity_vector(a: int | FpPoly, fact: Factorization) -> tuple[tuple[int, ...], bool]:
-    """Exponent of each irreducible of ``fact`` in a, plus a cofactor check.
+def multiplicity_vector(a: int | FpPoly, fact: Factorization) -> tuple[int, ...]:
+    """Exponent of each irreducible of ``fact`` in a.
 
-    Writes a = y * prod(p_i ** k_i) and returns (k, coprime) where coprime
-    records that the cofactor y shares no factor with the factored value;
-    it is returned for self-checking and is always True.  The zero element
-    is rejected; callers map it to the zero class themselves.
+    Writes a = y * prod(p_i ** k_i) with no p_i dividing y and returns the
+    tuple k, aligned with fact.factors.  The zero element is rejected;
+    callers map it to the zero class themselves.
     """
     if fact.backend == "int":
         if not isinstance(a, int) or isinstance(a, bool):
             raise TypeError("integer backend expects an int")
-        if a == 0:
-            raise ValueError("a must be nonzero; the zero class is handled by the caller")
-        y = a
-        ks = []
-        for irr, _ in fact.factors:
-            q = irr.value
-            assert isinstance(q, int)
-            k = 0
-            while y % q == 0:
-                y //= q
-                k += 1
-            ks.append(k)
-        n = fact.value()
-        assert isinstance(n, int)
-        return tuple(ks), math.gcd(y, n) == 1
-    if not isinstance(a, FpPoly):
+    elif not isinstance(a, FpPoly):
         raise TypeError("polynomial backend expects an FpPoly")
-    if a.is_zero:
+    if not a:
         raise ValueError("a must be nonzero; the zero class is handled by the caller")
     if fact.char is not None and a.p != fact.char:
         raise ValueError(f"characteristic mismatch: {a.p} vs {fact.char}")
-    y = a
     ks = []
     for irr, _ in fact.factors:
-        q = irr.value
-        assert isinstance(q, FpPoly)
         k = 0
-        while True:
-            quo, rem = divmod(y, q)
-            if not rem.is_zero:
-                break
-            y = quo
-            k += 1
+        quo, rem = divmod(a, irr.value)
+        while not rem:
+            a, k = quo, k + 1
+            quo, rem = divmod(a, irr.value)
         ks.append(k)
-    n = fact.value()
-    assert isinstance(n, FpPoly)
-    return tuple(ks), poly_gcd(y, n).degree == 0
+    return tuple(ks)
 
 
 def gcd_exponents(k: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:

@@ -60,13 +60,6 @@ def _print_compressed_table(g, out) -> None:
         print(f"edge {g.vertices[i].label} -- {g.vertices[j].label}", file=out)
 
 
-def _print_graph_table(g, out) -> None:
-    for s in g.labels:
-        print(f"vertex {s}", file=out)
-    for i, j in g.edges:
-        print(f"edge {g.labels[i]} -- {g.labels[j]}", file=out)
-
-
 def _cmd_graph(args, out) -> int:
     g = full_zero_divisor_graph(parse_ring_spec(args.ring))
     if args.format == "json":
@@ -74,7 +67,7 @@ def _cmd_graph(args, out) -> int:
     elif args.format == "dot":
         out.write(g.to_dot())
     else:
-        _print_graph_table(g, out)
+        _print_compressed_table(g.as_compressed(), out)
     return 0
 
 
@@ -185,6 +178,17 @@ def _cmd_conjecture(args, out) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    """argparse type for --budget: the search needs at least one node."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zdgraph",
@@ -207,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ring1")
     p.add_argument("ring2")
     p.add_argument("--loops", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(fn=_cmd_iso)
 
@@ -220,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("number", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.add_argument("--instances", help="file with one instance per line")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", help="write JSON-lines reports to this path")
     p.set_defaults(fn=_cmd_conjecture)

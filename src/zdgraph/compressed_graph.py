@@ -98,23 +98,15 @@ class CompressedGraph:
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
-        labels = [v.label for v in verts]
-        if len(set(labels)) != len(labels):
-            raise ValueError("vertex labels must be pairwise distinct")
-        order = sorted(range(len(verts)), key=lambda i: labels[i])
-        rank = {old: new for new, old in enumerate(order)}
-        remapped = set()
-        for i, j in self.edges:
-            if not (0 <= i < len(verts) and 0 <= j < len(verts)):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            if i == j:
-                raise ValueError("self-edges are not stored as edges; use the vertex loop flag")
-            a, b = rank[i], rank[j]
-            remapped.add((a, b) if a < b else (b, a))
+        order, edges = _canonical(
+            [v.label for v in verts],
+            self.edges,
+            "self-edges are not stored as edges; use the vertex loop flag",
+        )
         if not self.loops_admitted and any(v.loop for v in verts):
             raise ValueError("loop flags set on a graph built without loops")
         object.__setattr__(self, "vertices", tuple(verts[i] for i in order))
-        object.__setattr__(self, "edges", tuple(sorted(remapped)))
+        object.__setattr__(self, "edges", edges)
 
     @property
     def loop_count(self) -> int:
@@ -140,20 +132,9 @@ class Graph:
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("vertex labels must be pairwise distinct")
-        order = sorted(range(len(labels)), key=lambda i: labels[i])
-        rank = {old: new for new, old in enumerate(order)}
-        remapped = set()
-        for i, j in self.edges:
-            if not (0 <= i < len(labels) and 0 <= j < len(labels)):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            if i == j:
-                raise ValueError("simple graph admits no loops")
-            a, b = rank[i], rank[j]
-            remapped.add((a, b) if a < b else (b, a))
+        order, edges = _canonical(labels, self.edges, "simple graph admits no loops")
         object.__setattr__(self, "labels", tuple(labels[i] for i in order))
-        object.__setattr__(self, "edges", tuple(sorted(remapped)))
+        object.__setattr__(self, "edges", edges)
 
     def as_compressed(self) -> CompressedGraph:
         """View as a loop-free CompressedGraph (for the isomorphism search)."""
@@ -164,13 +145,28 @@ class Graph:
         return json.dumps(payload, indent=2) + "\n"
 
     def to_dot(self) -> str:
-        lines = ["graph zero_divisor_graph {"]
-        for i, s in enumerate(self.labels):
-            lines.append(f'  n{i} [label="{_dot_escape(s)}"];')
-        for i, j in self.edges:
-            lines.append(f"  n{i} -- n{j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot("zero_divisor_graph", [Vertex(s) for s in self.labels], self.edges)
+
+
+def _canonical(labels, edges, self_edge_error: str):
+    """Shared canonical form: the label sort order, and the edges renumbered
+    into it, deduplicated, oriented i < j and sorted."""
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise ValueError("vertex labels must be pairwise distinct")
+    order = sorted(range(n), key=labels.__getitem__)
+    rank = [0] * n
+    for new, old in enumerate(order):
+        rank[old] = new
+    remapped = set()
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) out of range")
+        if i == j:
+            raise ValueError(self_edge_error)
+        a, b = rank[i], rank[j]
+        remapped.add((a, b) if a < b else (b, a))
+    return order, tuple(sorted(remapped))
 
 
 # --- the zero-divisor basis -------------------------------------------------
@@ -187,11 +183,7 @@ class ZeroDivisorBasis:
         s = self.factorization.exponents()
         if not s:
             raise ValueError("n must be neither zero nor a unit")
-        vecs = []
-        for v in _cartesian(*(range(e + 1) for e in s)):
-            if any(v) and v != s:
-                vecs.append(v)
-        object.__setattr__(self, "vectors", tuple(vecs))
+        object.__setattr__(self, "vectors", _divisor_vectors(s))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -212,6 +204,25 @@ def _element_label(x) -> str:
     return str(x)
 
 
+def _divisor_vectors(s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors strictly between (0,...,0) and s, in lexicographic order."""
+    return tuple(v for v in _cartesian(*(range(e + 1) for e in s)) if any(v) and v != s)
+
+
+def _basis_graph(s, vectors, labels, loops: bool) -> CompressedGraph:
+    """Edge between v, w iff v + w >= s componentwise; loop at v iff 2v >= s."""
+    verts = tuple(
+        Vertex(label, exponents=v, loop=loops and all(2 * x >= e for x, e in zip(v, s)))
+        for v, label in zip(vectors, labels)
+    )
+    edges = tuple(
+        (a, b)
+        for a, b in combinations(range(len(vectors)), 2)
+        if all(x + y >= e for x, y, e in zip(vectors[a], vectors[b], s))
+    )
+    return CompressedGraph(verts, edges, loops)
+
+
 def graph_from_exponents(s: tuple[int, ...], loops: bool) -> CompressedGraph:
     """Compressed graph of any element with irreducible exponents s.
 
@@ -222,17 +233,8 @@ def graph_from_exponents(s: tuple[int, ...], loops: bool) -> CompressedGraph:
     s = tuple(int(e) for e in s)
     if not s or any(e < 1 for e in s):
         raise ValueError(f"exponents must be a nonempty tuple of positive integers, got {s}")
-    vecs = [v for v in _cartesian(*(range(e + 1) for e in s)) if any(v) and v != s]
-    verts = []
-    for v in vecs:
-        loop = loops and all(2 * v[i] >= s[i] for i in range(len(s)))
-        verts.append(Vertex(",".join(str(e) for e in v), exponents=v, loop=loop))
-    edges = []
-    for a, b in combinations(range(len(vecs)), 2):
-        va, vb = vecs[a], vecs[b]
-        if all(va[i] + vb[i] >= s[i] for i in range(len(s))):
-            edges.append((a, b))
-    return CompressedGraph(tuple(verts), tuple(edges), loops)
+    vecs = _divisor_vectors(s)
+    return _basis_graph(s, vecs, [",".join(str(e) for e in v) for v in vecs], loops)
 
 
 def graph_from_factorization(fact: Factorization, loops: bool) -> CompressedGraph:
@@ -242,17 +244,8 @@ def graph_from_factorization(fact: Factorization, loops: bool) -> CompressedGrap
     edge between v, w iff v + w >= s componentwise; loop at v iff 2v >= s.
     """
     basis = zero_divisor_basis(fact)
-    s = fact.exponents()
-    verts = []
-    for vec, d in zip(basis.vectors, basis.divisors()):
-        loop = loops and all(2 * vec[i] >= s[i] for i in range(len(s)))
-        verts.append(Vertex(_element_label(d), exponents=vec, loop=loop))
-    edges = []
-    for a, b in combinations(range(len(basis.vectors)), 2):
-        va, vb = basis.vectors[a], basis.vectors[b]
-        if all(va[i] + vb[i] >= s[i] for i in range(len(s))):
-            edges.append((a, b))
-    return CompressedGraph(tuple(verts), tuple(edges), loops)
+    labels = [_element_label(d) for d in basis.divisors()]
+    return _basis_graph(fact.exponents(), basis.vectors, labels, loops)
 
 
 def gcd_class_representative(a, fact: Factorization):
@@ -265,7 +258,7 @@ def gcd_class_representative(a, fact: Factorization):
     zero = a == 0 if not isinstance(a, FpPoly) else a.is_zero
     if zero:
         return ZERO_CLASS
-    k, _ = multiplicity_vector(a, fact)
+    k = multiplicity_vector(a, fact)
     clipped = gcd_exponents(k, fact.exponents())
     if clipped == fact.exponents():
         return ZERO_CLASS
@@ -367,18 +360,19 @@ def _dot_escape(s: str) -> str:
 
 def to_dot(g: CompressedGraph) -> str:
     """DOT text; loops render as self-edges, metadata as node attributes."""
-    lines = ["graph compressed_zero_divisor_graph {"]
-    for i, v in enumerate(g.vertices):
+    return _dot("compressed_zero_divisor_graph", g.vertices, g.edges)
+
+
+def _dot(name: str, vertices, edges) -> str:
+    lines = [f"graph {name} {{"]
+    for i, v in enumerate(vertices):
         attrs = [f'label="{_dot_escape(v.label)}"']
         if v.exponents is not None:
             attrs.append('exponents="' + ",".join(str(e) for e in v.exponents) + '"')
         if v.size is not None:
             attrs.append(f'size="{v.size}"')
         lines.append(f"  n{i} [{', '.join(attrs)}];")
-    for i, j in g.edges:
-        lines.append(f"  n{i} -- n{j};")
-    for i, v in enumerate(g.vertices):
-        if v.loop:
-            lines.append(f"  n{i} -- n{i};")
+    lines.extend(f"  n{i} -- n{j};" for i, j in edges)
+    lines.extend(f"  n{i} -- n{i};" for i, v in enumerate(vertices) if v.loop)
     lines.append("}")
     return "\n".join(lines) + "\n"

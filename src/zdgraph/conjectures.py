@@ -23,6 +23,7 @@ from itertools import permutations, product as iter_product
 
 from .arithmetic import (
     FpPoly,
+    Irreducible,
     factor_integer,
     factor_polynomial,
     format_poly_pretty,
@@ -135,24 +136,6 @@ class _Instance:
 
 
 def _factor_all(ambient, gens):
-    if isinstance(ambient, IntegersMod):
-        facts = [factor_integer(int(g)) for g in gens]
-        irreducibles = sorted({p.value for f in facts for p, _ in f.factors})
-        vectors = [
-            tuple(dict((p.value, e) for p, e in f.factors).get(q, 0) for q in irreducibles)
-            for f in facts
-        ]
-        return irreducibles, vectors
-    if isinstance(ambient, PolyQuotient):
-        facts = [factor_polynomial(g, ambient.p) for g in gens]
-        irreducibles = sorted(
-            {p.value for f in facts for p, _ in f.factors}, key=lambda q: q.sort_key()
-        )
-        vectors = [
-            tuple(dict((p.value, e) for p, e in f.factors).get(q, 0) for q in irreducibles)
-            for f in facts
-        ]
-        return irreducibles, vectors
     if isinstance(ambient, BivariateMonomialQuotient):
         monos = standard_monomials(ambient)
         vectors = []
@@ -165,7 +148,16 @@ def _factor_all(ambient, gens):
             vectors.append(support[0])
         irreducibles = ["x", "y"]
         return irreducibles, [tuple(v) for v in vectors]
-    raise ValueError(f"unsupported ambient model: {ambient!r}")
+    if isinstance(ambient, IntegersMod):
+        facts = [factor_integer(int(g)) for g in gens]
+    elif isinstance(ambient, PolyQuotient):
+        facts = [factor_polynomial(g, ambient.p) for g in gens]
+    else:
+        raise ValueError(f"unsupported ambient model: {ambient!r}")
+    irreducibles = sorted({q for f in facts for q, _ in f.factors}, key=Irreducible.sort_key)
+    exponents = [dict(f.factors) for f in facts]
+    vectors = [tuple(e.get(q, 0) for q in irreducibles) for e in exponents]
+    return [q.value for q in irreducibles], vectors
 
 
 def _image(ambient, irreducible):
@@ -268,6 +260,13 @@ def _quotient_or_reason(ambient, gens):
         return None, str(exc)
 
 
+def _instance_or_reason(ambient, gens):
+    try:
+        return _Instance(ambient, gens), None
+    except ValueError as exc:  # a generator outside the supported forms
+        return None, str(exc)
+
+
 # --- generalized basis --------------------------------------------------------
 
 
@@ -304,19 +303,22 @@ def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureR
     full2 = full_zero_divisor_graph(spec2).as_compressed()
     details["full_graph_sizes"] = [len(full1.vertices), len(full2.vertices)]
     details["full_graph_digests"] = [_digest(full1), _digest(full2)]
-    lhs = None
     try:
         lhs = graphs_isomorphic(full1, full2, respect_loops=False, budget=budget).isomorphic
     except SearchBudgetExceeded:
+        # isomorphic size-preserving compressed graphs blow up to isomorphic
+        # full graphs; any other outcome leaves the full-graph side undecided
         try:
-            shortcut = graphs_isomorphic(
+            lhs = graphs_isomorphic(
                 oracle_compressed_graph(spec1, loops=True),
                 oracle_compressed_graph(spec2, loops=True),
                 respect_loops=True,
                 respect_sizes=True,
                 budget=budget,
-            )
+            ).isomorphic
         except SearchBudgetExceeded:
+            lhs = False
+        if not lhs:
             return ConjectureReport(
                 1,
                 instance,
@@ -326,19 +328,7 @@ def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureR
                     "reason": "full-graph isomorphism search exceeded the node budget",
                 },
             )
-        if shortcut.isomorphic:
-            lhs = True
-            details["full_isomorphism_via"] = "size-preserving compressed blow-up"
-        else:
-            return ConjectureReport(
-                1,
-                instance,
-                "skipped",
-                {
-                    **details,
-                    "reason": "full-graph isomorphism search exceeded the node budget",
-                },
-            )
+        details["full_isomorphism_via"] = "size-preserving compressed blow-up"
 
     gl1 = oracle_compressed_graph(spec1, loops=True)
     gl2 = oracle_compressed_graph(spec2, loops=True)
@@ -466,7 +456,10 @@ def check_conjecture3(ambient, union_gens) -> ConjectureReport:
         "products of at most len(basis) generalized-basis elements; "
         "edges use the first product found in each class"
     )
-    inst = _Instance(ambient, union_gens)
+    inst, reason = _instance_or_reason(ambient, union_gens)
+    if inst is None:
+        details["reason"] = reason
+        return ConjectureReport(3, instance, "skipped", details)
     quotient, reason = _quotient_or_reason(ambient, union_gens)
     if quotient is None:
         details["reason"] = reason
@@ -644,8 +637,13 @@ def check_conjecture4(
         details["reason"] = failure
         return ConjectureReport(4, instance, "skipped", details)
 
-    inst1 = _Instance(ambient1, union_gens1)
-    inst2 = _Instance(ambient2, union_gens2)
+    inst1, reason1 = _instance_or_reason(ambient1, union_gens1)
+    inst2, reason2 = _instance_or_reason(ambient2, union_gens2)
+    if inst1 is None or inst2 is None:
+        details["reason"] = (
+            f"side 1: {reason1}" if inst1 is None else f"side 2: {reason2}"
+        )
+        return ConjectureReport(4, instance, "skipped", details)
     rows1, rows2 = _pattern(inst1), _pattern(inst2)
     details["patterns"] = [sorted(rows1), sorted(rows2)]
     if not _patterns_match(rows1, rows2):
@@ -705,14 +703,16 @@ def default_instances(conjecture: int, max_n: int | None = None):
             for n1 in range(2, top + 1)
             for n2 in range(n1 + 1, top + 1)
         ]
+    f2 = lambda *coeffs: FpPoly(2, coeffs)
+    f3 = lambda *coeffs: FpPoly(3, coeffs)
+    xy33 = BivariateMonomialQuotient(2, ((3, 0), (0, 3)))
+    xy22 = BivariateMonomialQuotient(2, ((2, 0), (0, 2)))
     if conjecture in (2, 3):
         top = 24 if max_n is None else min(max_n, SCAN_LIMIT // 4)
         instances = [
             (IntegersMod(4 * n), [n])
             for n in range(2, max(3, top + 1))
         ]
-        f2 = lambda *coeffs: FpPoly(2, coeffs)
-        f3 = lambda *coeffs: FpPoly(3, coeffs)
         instances += [
             (PolyQuotient(2, f2(0, 0, 0, 0, 1)), [f2(0, 0, 1)]),
             (PolyQuotient(2, f2(0, 0, 1, 0, 1)), [f2(0, 1, 1)]),
@@ -720,8 +720,6 @@ def default_instances(conjecture: int, max_n: int | None = None):
             (PolyQuotient(3, f3(0, 0, 0, 0, 1)), [f3(0, 0, 1)]),
             (PolyQuotient(3, f3(0, 0, 1, 2, 1)), [f3(0, 1, 1)]),
         ]
-        xy33 = BivariateMonomialQuotient(2, ((3, 0), (0, 3)))
-        xy22 = BivariateMonomialQuotient(2, ((2, 0), (0, 2)))
         instances += [
             (xy33, [parse_element(xy33, "x^2*y")]),
             (xy33, [parse_element(xy33, "x^2*y"), parse_element(xy33, "x^2*y^2")]),
@@ -729,10 +727,6 @@ def default_instances(conjecture: int, max_n: int | None = None):
         ]
         return instances
     if conjecture == 4:
-        xy33 = BivariateMonomialQuotient(2, ((3, 0), (0, 3)))
-        xy22 = BivariateMonomialQuotient(2, ((2, 0), (0, 2)))
-        f2 = lambda *coeffs: FpPoly(2, coeffs)
-        f3 = lambda *coeffs: FpPoly(3, coeffs)
         return [
             # cross-backend pattern (2, 1): x^2 y against x^2 (x+1)
             (
@@ -803,15 +797,14 @@ def parse_instance_line(conjecture: int, line: str):
     if conjecture in (2, 3):
         if len(parts) != 2:
             raise ValueError("conjecture 2/3 instances need a spec and generators")
-        ambient = parse_ring_spec(parts[0])
-        gens = [parse_element(ambient, g.strip()) for g in parts[1].split(",")]
-        return (ambient, gens)
+        return _parse_ring_and_gens(*parts)
     if conjecture == 4:
         if len(parts) != 4:
             raise ValueError("conjecture 4 instances need two spec/generator pairs")
-        amb1 = parse_ring_spec(parts[0])
-        gens1 = [parse_element(amb1, g.strip()) for g in parts[1].split(",")]
-        amb2 = parse_ring_spec(parts[2])
-        gens2 = [parse_element(amb2, g.strip()) for g in parts[3].split(",")]
-        return (amb1, gens1, amb2, gens2)
+        return (*_parse_ring_and_gens(*parts[:2]), *_parse_ring_and_gens(*parts[2:]))
     raise ValueError("conjecture id must be 1, 2, 3, or 4")
+
+
+def _parse_ring_and_gens(spec: str, gens: str):
+    ambient = parse_ring_spec(spec)
+    return ambient, [parse_element(ambient, g.strip()) for g in gens.split(",")]

@@ -1,5 +1,6 @@
 """CLI behavior: spec'd examples, exit-code protocol, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -136,6 +137,21 @@ class TestErrors:
         assert code == 2
         assert "bad.txt:1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("iso", "Z/8", "Z/6", "--budget", "0"),
+            ("iso", "Z/8", "Z/6", "--budget", "-5"),
+            ("conjecture", "1", "--max-n", "6", "--budget", "0"),
+            ("conjecture", "4", "--budget", "many"),
+        ],
+    )
+    def test_budget_below_one_exits_2(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--budget: must be a positive integer" in err
+
 
 class TestVerify:
     def test_small_bound_passes(self, capsys):
@@ -202,6 +218,16 @@ class TestConjecture:
         assert code == 0
         assert "counterexample" in out
 
+    def test_non_monomial_bivariate_generator_skips(self, capsys, tmp_path):
+        instances = tmp_path / "instances.txt"
+        instances.write_text("F2[x,y]/(x^2,y^2) | x+y\n")
+        code, out, _ = invoke(capsys, "conjecture", "3", "--instances", str(instances))
+        assert code == 0
+        assert out.splitlines() == [
+            "skipped         F2[x,y]/(x^2,y^2) | x+y",
+            "checked 1: 0 supported, 0 counterexample, 1 skipped",
+        ]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -218,3 +244,57 @@ class TestDeterminism:
         code2, out2, _ = invoke(capsys, *argv)
         assert code1 == code2
         assert out1 == out2
+
+
+# sha256 of "<exit code>\n" + stdout (+ the --report file), recorded before the
+# graph, arithmetic and conjecture layers were deduplicated.  A mismatch means
+# CLI bytes changed; regenerate only for an intended change of output format.
+GOLDEN_DIGESTS = {
+    "compress Z/72 --format table": "de94ea37f90baabc69e7821b9af2b08cfce43e15f3b139fe5cfcdc8b54b3fc36",
+    "compress Z/72 --loops --format table": "d9edbe715f254d4835c966728f089a1f08e59b2f6b31a280bfac06678b413536",
+    "graph Z/72 --format table": "8ded33ac1f83373400c831b1f4eb7751e298ff6004830f320e20d3f4e4b91abe",
+    "compress Z/72 --format json": "bcb4d42450f2a45a7e9d550a79c4204064d988c107cc54489d980557fa0cf1ab",
+    "compress Z/72 --loops --format json": "9d255cceb7a8e060aa9c9a0d079571092af8f08d799a7572c61ed1825cdedbcf",
+    "graph Z/72 --format json": "c8c49978c0db16f301b34ea6264e0ab2d7ad75aeb2d9d35efe0fc0c6a77d691d",
+    "compress Z/72 --format dot": "76ea4354cb8e21ecc142fc15a0c932af1e19be5758ace8091be5a40da6090186",
+    "compress Z/72 --loops --format dot": "86e64c4f3e0d7bd1348f3ff8702ee6c067aa8f2713e1ee87d5c8645a15f6b32c",
+    "graph Z/72 --format dot": "93ccdb63c126ba1cd7ff1643f774c50fb7f8e2b5540b94d990fe2f0c7c066430",
+    "compress F2[x]/(x^4+x^2) --format table": "2990a6730d761fdfa9b1e1c7521cf9ab364067bd47215f947981470900917c5c",
+    "compress F2[x]/(x^4+x^2) --loops --format table": "501f3b3486bc6835e5b53db101df97e5da38c82436bb09f3f9d769cab33db1b8",
+    "graph F2[x]/(x^4+x^2) --format table": "6ba073d49e6276cd3b6581e309ec1f3e16b7c6f65e133b0ffbee2c544cec2fac",
+    "compress F2[x]/(x^4+x^2) --format json": "396ddee44eb62b0d89fca8e6b07f3097debcf4fcba8f1ac40ba34205f7a120f9",
+    "compress F2[x]/(x^4+x^2) --loops --format json": "f09e6e85719c97847b044188b59245b6bdad739ae0c88f491035fd60f798e560",
+    "graph F2[x]/(x^4+x^2) --format json": "ce1ef4e430725f8053b949b46b5554b1d22ab342d2fcd14300ca7b23daab3494",
+    "compress F2[x]/(x^4+x^2) --format dot": "5da6acea89c70430fe6351d98712eb91fea3c507199fb518f9c0b3efae65717a",
+    "compress F2[x]/(x^4+x^2) --loops --format dot": "22c52ba23d55712758c99fe27cf26d9835b34a1bb8f84c50cfcdcae15d2415e0",
+    "graph F2[x]/(x^4+x^2) --format dot": "c14a10e739f21ef29ae23039eb3d4c9825ccd3f2fa94c9e17bf8e1447fafc709",
+    "compress F2[x,y]/(x^3,x^2*y,y^3) --format table": "66d61562db0bfa21e3b655db88b9418a88377254273844f74415218583765153",
+    "compress F2[x,y]/(x^3,x^2*y,y^3) --loops --format table": "a9926591eb2ce7e5e64208ce677a3fdb09153a0ac7e14df35959bd308f69b581",
+    "graph F2[x,y]/(x^3,x^2*y,y^3) --format table": "973dda988b5a9973937693d63d89e05a61587dafd36d99eb543de8acc4140fcc",
+    "compress F2[x,y]/(x^3,x^2*y,y^3) --format json": "db1eff592eb237d01205c2fe1caf505e9e8f0a31405aca162f4f9bd41e0cd26c",
+    "compress F2[x,y]/(x^3,x^2*y,y^3) --loops --format json": "91f41bec551099a836ed9be9a6ae0553917352ec4a5f0f7087d8a0ab1608942e",
+    "graph F2[x,y]/(x^3,x^2*y,y^3) --format json": "aeb6fcf2e5b7d6d82fb634f29ea092c96d13a4ae93c6399166d9ccd03d82c3ca",
+    "compress F2[x,y]/(x^3,x^2*y,y^3) --format dot": "4c8b1745123ae9e3cd66453139cf7b930726d0d181b9704bd496393730af5157",
+    "compress F2[x,y]/(x^3,x^2*y,y^3) --loops --format dot": "ee006c76c404551968a45740fe42315cadca7805e0e3bb28790546c4aee6dc12",
+    "graph F2[x,y]/(x^3,x^2*y,y^3) --format dot": "9bc28ab1fdd6de46564ddacfca7503492ffddc413c5f85bec04a91e8b23e5abd",
+    "iso Z/72 F2[x]/(x^5+x^3) --format table": "dabcd07c8ce3cf04a2e6d923da39b60a53d431982091111044e2a017fa548061",
+    "iso Z/8 Z/6 --loops --format table": "3ed7c97c09cde6c57f9c620698c6316364c13f9278022f55056a2b845364a8ec",
+    "iso Z/72 F2[x]/(x^5+x^3) --format json": "16a10786991c28f3fd4145fe2b594ecbf130164abf288def0adce3e24be81983",
+    "iso Z/8 Z/6 --loops --format json": "740ac3a5d6eb81e1590e0bc9a0c0947138dfab45c57ad81f605387fe27f39803",
+    "conjecture 1 --max-n 10 --report REPORT": "cf8acd69e303ea11b7db6926b6e9b9ce94db0783c72bf7c8d2a4c53fa0c218d5",
+    "conjecture 2 --max-n 4 --report REPORT": "a61d1ca9da0dea1217c85232e0b1f327b9f1d7275409612da61f4c555a5bb424",
+    "conjecture 3 --max-n 4 --report REPORT": "0c9d2691973320d0b8e42272f841c1fc75e6a701d201a220ad2141be7c4c4b3c",
+    "conjecture 4 --report REPORT": "408f9d80a0f39244199074607032433e752b4083506485eb5c7dd5005debb77f",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
+    def test_output_bytes_pinned(self, capsys, tmp_path, command):
+        report = tmp_path / "report.jsonl"
+        argv = [str(report) if a == "REPORT" else a for a in command.split()]
+        code, out, _ = invoke(capsys, *argv)
+        data = f"{code}\n{out}"
+        if report.exists():
+            data += report.read_text()
+        assert hashlib.sha256(data.encode()).hexdigest() == GOLDEN_DIGESTS[command]

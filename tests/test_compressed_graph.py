@@ -4,8 +4,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zdgraph.arithmetic import FpPoly, factor_integer, factor_polynomial
+from zdgraph.arithmetic import FpPoly, factor_integer, factor_polynomial, is_prime
 from zdgraph.compressed_graph import (
     ZERO_CLASS,
     CompressedGraph,
@@ -22,6 +24,9 @@ from zdgraph.compressed_graph import (
     vertex_count,
     zero_divisor_basis,
 )
+
+
+SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
 
 
 def proper_divisors(n):
@@ -135,6 +140,32 @@ class TestGraphFromFactorization:
         assert a.loop_count == b.loop_count
         assert a.degree_multiset() == b.degree_multiset()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(1, 3)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda pe: pe[0],
+        ),
+        st.booleans(),
+    )
+    def test_labeled_and_exponent_builds_agree_by_exponents(self, prime_powers, loops):
+        fact = factor_integer(math.prod(p**e for p, e in prime_powers))
+        labeled = graph_from_factorization(fact, loops)
+        bare = graph_from_exponents(fact.exponents(), loops)
+
+        def keyed(g):
+            verts = {v.exponents: v.loop for v in g.vertices}
+            edges = {
+                frozenset((g.vertices[i].exponents, g.vertices[j].exponents))
+                for i, j in g.edges
+            }
+            return verts, edges
+
+        assert len(labeled.vertices) == len(bare.vertices)
+        assert keyed(labeled) == keyed(bare)
+
 
 class TestGcdClassRepresentative:
     def test_spec_cases(self):
@@ -231,6 +262,25 @@ class TestCanonicalForm:
         g = Graph(("b", "a"), ((1, 0),))
         assert g.labels == ("a", "b")
         assert g.edges == ((0, 1),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_graph_and_compressed_graph_share_canonical_form(self, data):
+        label = st.text(alphabet="x^,#0123", min_size=1, max_size=4)
+        labels = data.draw(st.lists(label, min_size=2, max_size=12, unique=True))
+        n = len(labels)
+        # (i, i + d mod n) with 0 < d < n is never a self-edge
+        offsets = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        edges = [(i, (i + d) % n) for i, d in data.draw(st.lists(offsets, max_size=30))]
+        perm = data.draw(st.permutations(range(n)))
+        shuffled = [labels[i] for i in perm]
+        where = {old: new for new, old in enumerate(perm)}
+        moved = [(where[i], where[j]) for i, j in edges]
+
+        g = Graph(tuple(shuffled), tuple(moved))
+        cg = CompressedGraph(tuple(Vertex(s) for s in shuffled), tuple(moved))
+        assert g.labels == tuple(v.label for v in cg.vertices) == tuple(sorted(labels))
+        assert g.edges == cg.edges == Graph(tuple(labels), tuple(edges)).edges
 
 
 class TestSerialization:

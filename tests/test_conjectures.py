@@ -213,6 +213,11 @@ class TestConjecture3:
         assert report.verdict == "skipped"
         assert report.details["union_in_window"] is False
 
+    def test_non_monomial_bivariate_generator_skips(self):
+        report = check_conjecture3(XY22, [parse_element(XY22, "x+y")])
+        assert report.verdict == "skipped"
+        assert report.details["reason"] == "bivariate union generators must be single monomials"
+
 
 class TestConjecture4:
     def test_bivariate_vs_univariate_predicted_layer(self):
@@ -256,6 +261,26 @@ class TestConjecture4:
         )
         assert report.verdict == "supported"
         assert report.details["layer"] == "predicted graphs (windows not exact)"
+
+    @pytest.mark.parametrize(
+        "line, side",
+        [
+            ("F2[x,y]/(x^2,y^2) | x+y | F2[x,y]/(x^2,y^2) | x+y", 1),
+            ("Z/72 | 12 | F2[x,y]/(x^3,y^3) | x^2*y+y^2", 2),
+        ],
+    )
+    def test_non_monomial_bivariate_generator_skips(self, line, side):
+        report = check_conjecture4(*parse_instance_line(4, line))
+        assert report.verdict == "skipped"
+        assert report.details["reason"] == (
+            f"side {side}: bivariate union generators must be single monomials"
+        )
+
+    def test_conjecture2_accepts_non_monomial_generator(self):
+        # conjecture 2 never factors the generators, so it still decides
+        report = check_conjecture2(XY22, [parse_element(XY22, "x+y")])
+        assert report.verdict == "skipped"
+        assert report.details["reason"] == "window truncation artifact; ambient hypothesis unmet"
 
 
 class TestScans:
