@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 
 from .arithmetic import factor_integer, factor_polynomial
 from .compressed_graph import graph_from_factorization, to_dot, to_json
@@ -105,28 +105,21 @@ def _cmd_iso(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    jobs = [
-        ("oracle-equivalence", lambda: oracle_equivalence_sweep(max_n=args.max_n)),
-        ("gcd-theorem", lambda: gcd_theorem_sweep(max_n=args.max_n)),
-        ("blow-up", lambda: blowup_sweep(max_n=args.max_n)),
+    outcomes = [
+        ("oracle-equivalence", oracle_equivalence_sweep(max_n=args.max_n)),
+        ("gcd-theorem", gcd_theorem_sweep(max_n=args.max_n)),
+        ("blow-up", blowup_sweep(max_n=args.max_n)),
     ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(lambda item: item[1](), jobs))
-    else:
-        outcomes = [fn() for _, fn in jobs]
     print(f"{'sweep':<20}{'checked':>10}{'failures':>10}  status", file=out)
-    failed = False
-    for (name, _), outcome in zip(jobs, outcomes):
+    for name, outcome in outcomes:
         status = "pass" if outcome.ok else "FAIL"
-        failed = failed or not outcome.ok
         print(f"{name:<20}{outcome.checked:>10}{len(outcome.failures):>10}  {status}", file=out)
-    if failed:
-        for (name, _), outcome in zip(jobs, outcomes):
-            for failure in outcome.failures[:5]:
-                print(f"failure[{name}]: {failure}", file=out)
-        return 4
-    return 0
+    if all(outcome.ok for _, outcome in outcomes):
+        return 0
+    for name, outcome in outcomes:
+        for failure in outcome.failures[:5]:
+            print(f"failure[{name}]: {failure}", file=out)
+    return 4
 
 
 def _load_instances(conjecture: int, path: str):
@@ -145,6 +138,10 @@ def _load_instances(conjecture: int, path: str):
 
 
 def _cmd_conjecture(args, out) -> int:
+    if args.max_n is not None and (args.instances or args.number == 4):
+        ignored_by = "--instances" if args.instances else "conjecture 4"
+        print(f"error: --max-n has no effect with {ignored_by}", file=sys.stderr)
+        return 2
     if args.instances:
         instances = _load_instances(args.number, args.instances)
     else:
@@ -155,17 +152,10 @@ def _cmd_conjecture(args, out) -> int:
         3: lambda inst: check_conjecture3(*inst),
         4: lambda inst: check_conjecture4(*inst, budget=args.budget),
     }
-    check = checkers[args.number]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(check, instances))
-    else:
-        reports = [check(inst) for inst in instances]
+    reports = [checkers[args.number](inst) for inst in instances]
     for report in reports:
         print(f"{report.verdict:<16}{report.instance}", file=out)
-    counts = {verdict: 0 for verdict in ("supported", "counterexample", "skipped")}
-    for report in reports:
-        counts[report.verdict] += 1
+    counts = Counter(report.verdict for report in reports)
     print(
         f"checked {len(reports)}: {counts['supported']} supported, "
         f"{counts['counterexample']} counterexample, {counts['skipped']} skipped",
@@ -178,15 +168,24 @@ def _cmd_conjecture(args, out) -> int:
     return 0
 
 
-def _budget(text: str) -> int:
-    """argparse type for --budget: the search needs at least one node."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, expected: str):
+    """argparse type for an integer option with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+# the search needs at least one node; a sweep or scan below 2 checks no ring
+_budget = _int_at_least(1, "a positive integer")
+_max_n = _int_at_least(2, "an integer of at least 2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,16 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_iso)
 
     p = sub.add_parser("verify", help="run the cross-validation sweeps")
-    p.add_argument("--max-n", type=int, default=2000, dest="max_n")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-n", type=_max_n, default=2000, dest="max_n")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("conjecture", help="scan a conjecture over instances")
     p.add_argument("number", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p.add_argument("--max-n", type=_max_n, default=None, dest="max_n")
     p.add_argument("--instances", help="file with one instance per line")
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", help="write JSON-lines reports to this path")
     p.set_defaults(fn=_cmd_conjecture)
 

@@ -55,6 +55,7 @@ from .isomorphism import SearchBudgetExceeded, graphs_isomorphic
 
 DEFAULT_BUDGET = 10**7
 SAMPLE_LIMIT = 5000
+_TRUNCATION = "window truncation artifact; ambient hypothesis unmet"
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,11 @@ def report_to_json(report: ConjectureReport) -> str:
         "details": report.details,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _skip(conjecture: int, instance: str, details: dict, reason: str) -> ConjectureReport:
+    details["reason"] = reason
+    return ConjectureReport(conjecture, instance, "skipped", details)
 
 
 def _digest(g) -> str:
@@ -117,6 +123,13 @@ class _Instance:
                 out = mul_elements(self.ambient, out, img)
         return out
 
+    def basis(self):
+        """(vector, window image) of each non-unit generator divisor whose
+        image lies outside the ideal."""
+        members = set(ideal_members(self.ambient, self.gens))
+        pairs = ((vec, self.vector_image(vec)) for vec in self.divisor_vectors())
+        return [(vec, img) for vec, img in pairs if img not in members]
+
     def divisor_vectors(self):
         """Exponent vectors of every non-unit divisor of some generator."""
         seen = set()
@@ -135,12 +148,16 @@ class _Instance:
         )
 
 
+def _support(ambient, elem):
+    """Standard monomials with a nonzero coefficient in a bivariate element."""
+    return [m for m, c in zip(standard_monomials(ambient), elem) if c]
+
+
 def _factor_all(ambient, gens):
     if isinstance(ambient, BivariateMonomialQuotient):
-        monos = standard_monomials(ambient)
         vectors = []
         for g in gens:
-            support = [m for m, c in zip(monos, g) if c]
+            support = _support(ambient, g)
             if len(support) != 1:
                 raise ValueError(
                     "bivariate union generators must be single monomials"
@@ -194,7 +211,7 @@ def _ufd_gcd(ambient, a, gens):
     monos = standard_monomials(ambient)
     vx, vy = None, None
     for elem in [a] + list(gens):
-        support = [m for m, c in zip(monos, elem) if c]
+        support = _support(ambient, elem)
         if not support:
             continue  # zero contributes nothing to a gcd
         ex = min(m[0] for m in support)
@@ -211,22 +228,12 @@ def _ufd_gcd(ambient, a, gens):
 # --- shared gates ------------------------------------------------------------
 
 
-def _zero_element(ambient):
-    return parse_element(ambient, "0")
-
-
-def _is_zero(ambient, x) -> bool:
-    return x == _zero_element(ambient)
-
-
 def _is_unit_gen(ambient, g) -> bool:
     if isinstance(ambient, IntegersMod):
         return int(g) == 1
     if isinstance(ambient, PolyQuotient):
         return g.degree == 0
-    monos = standard_monomials(ambient)
-    support = [m for m, c in zip(monos, g) if c]
-    return support == [(0, 0)]
+    return _support(ambient, g) == [(0, 0)]
 
 
 def _union_gate(ambient, gens):
@@ -235,7 +242,7 @@ def _union_gate(ambient, gens):
     if not gens:
         return details, "no generators given"
     for g in gens:
-        if _is_zero(ambient, g):
+        if g == parse_element(ambient, "0"):
             return details, "zero generator"
         if _is_unit_gen(ambient, g):
             return details, "a generator is a unit, so the ideal is the whole ring"
@@ -253,17 +260,13 @@ def _union_gate(ambient, gens):
     return details, None
 
 
-def _quotient_or_reason(ambient, gens):
+def _or_reason(build, ambient, gens):
+    """(build(ambient, gens), None), or (None, reason) when build refuses the
+    generators: a unit ideal for quotient_by_ideal, a generator outside the
+    supported forms for _Instance."""
     try:
-        return quotient_by_ideal(ambient, gens), None
+        return build(ambient, gens), None
     except ValueError as exc:
-        return None, str(exc)
-
-
-def _instance_or_reason(ambient, gens):
-    try:
-        return _Instance(ambient, gens), None
-    except ValueError as exc:  # a generator outside the supported forms
         return None, str(exc)
 
 
@@ -282,14 +285,7 @@ def generalized_basis(ambient, union_gens) -> list:
     _, failure = _union_gate(ambient, union_gens)
     if failure:
         raise ValueError(failure)
-    inst = _Instance(ambient, union_gens)
-    members = set(ideal_members(ambient, union_gens))
-    out = []
-    for vec in inst.divisor_vectors():
-        img = inst.vector_image(vec)
-        if img not in members:
-            out.append(img)
-    return out
+    return [img for _, img in _Instance(ambient, union_gens).basis()]
 
 
 # --- conjecture 1 -------------------------------------------------------------
@@ -303,6 +299,8 @@ def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureR
     full2 = full_zero_divisor_graph(spec2).as_compressed()
     details["full_graph_sizes"] = [len(full1.vertices), len(full2.vertices)]
     details["full_graph_digests"] = [_digest(full1), _digest(full2)]
+    gl1 = oracle_compressed_graph(spec1, loops=True)
+    gl2 = oracle_compressed_graph(spec2, loops=True)
     try:
         lhs = graphs_isomorphic(full1, full2, respect_loops=False, budget=budget).isomorphic
     except SearchBudgetExceeded:
@@ -310,28 +308,15 @@ def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureR
         # full graphs; any other outcome leaves the full-graph side undecided
         try:
             lhs = graphs_isomorphic(
-                oracle_compressed_graph(spec1, loops=True),
-                oracle_compressed_graph(spec2, loops=True),
-                respect_loops=True,
-                respect_sizes=True,
-                budget=budget,
+                gl1, gl2, respect_loops=True, respect_sizes=True, budget=budget
             ).isomorphic
         except SearchBudgetExceeded:
             lhs = False
         if not lhs:
-            return ConjectureReport(
-                1,
-                instance,
-                "skipped",
-                {
-                    **details,
-                    "reason": "full-graph isomorphism search exceeded the node budget",
-                },
-            )
+            reason = "full-graph isomorphism search exceeded the node budget"
+            return _skip(1, instance, details, reason)
         details["full_isomorphism_via"] = "size-preserving compressed blow-up"
 
-    gl1 = oracle_compressed_graph(spec1, loops=True)
-    gl2 = oracle_compressed_graph(spec2, loops=True)
     try:
         compressed_iso = graphs_isomorphic(gl1, gl2, budget=budget).isomorphic
         unlooped_iso = graphs_isomorphic(
@@ -341,12 +326,7 @@ def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureR
             budget=budget,
         ).isomorphic
     except SearchBudgetExceeded:
-        return ConjectureReport(
-            1,
-            instance,
-            "skipped",
-            {**details, "reason": "compressed-graph search exceeded the node budget"},
-        )
+        return _skip(1, instance, details, "compressed-graph search exceeded the node budget")
     counts = [count_regular_elements(spec1), count_regular_elements(spec2)]
     rhs = compressed_iso and counts[0] == counts[1]
     details.update(
@@ -388,17 +368,15 @@ def check_conjecture2(ambient, union_gens, sample=None) -> ConjectureReport:
     instance = _instance_string(ambient, union_gens)
     details, failure = _union_gate(ambient, union_gens)
     if failure:
-        details["reason"] = failure
-        return ConjectureReport(2, instance, "skipped", details)
+        return _skip(2, instance, details, failure)
     exact = _window_exact(ambient, union_gens)
     details["window_exact"] = exact
-    quotient, reason = _quotient_or_reason(ambient, union_gens)
+    quotient, reason = _or_reason(quotient_by_ideal, ambient, union_gens)
     if quotient is None:
-        details["reason"] = reason
-        return ConjectureReport(2, instance, "skipped", details)
+        return _skip(2, instance, details, reason)
     details["quotient_graph_digest"] = _digest(oracle_compressed_graph(quotient, loops=True))
     qmodel = _model(quotient)
-    ids = _scan(quotient).class_ids
+    scan = _scan(quotient)
     amodel = _model(ambient)
     if sample is None:
         elems = [amodel.element(i) for i in _sample_indices(amodel.size)]
@@ -414,28 +392,22 @@ def check_conjecture2(ambient, union_gens, sample=None) -> ConjectureReport:
     for a in elems:
         g = _ufd_gcd(ambient, a, union_gens)
         if g is None:
-            details["reason"] = "the window cannot represent the gcd"
             details["witness"] = element_label(ambient, a)
-            return ConjectureReport(2, instance, "skipped", details)
-        ca = ids[qmodel.index(a)]
-        cg = ids[qmodel.index(g)]
+            return _skip(2, instance, details, "the window cannot represent the gcd")
+        ca = scan.class_ids[qmodel.index(a)]
+        cg = scan.class_ids[qmodel.index(g)]
         checked += 1
         if ca != cg:
             details["witness"] = {
                 "a": element_label(ambient, a),
                 "gcd": element_label(ambient, g),
-                "class_of_a": element_label(quotient, qmodel.element(int(
-                    _scan(quotient).groups[ca].first
-                ))),
-                "class_of_gcd": element_label(quotient, qmodel.element(int(
-                    _scan(quotient).groups[cg].first
-                ))),
+                "class_of_a": element_label(quotient, qmodel.element(scan.groups[ca].first)),
+                "class_of_gcd": element_label(quotient, qmodel.element(scan.groups[cg].first)),
             }
             details["checked"] = checked
             if exact:
                 return ConjectureReport(2, instance, "counterexample", details)
-            details["reason"] = "window truncation artifact; ambient hypothesis unmet"
-            return ConjectureReport(2, instance, "skipped", details)
+            return _skip(2, instance, details, _TRUNCATION)
     details["checked"] = checked
     return ConjectureReport(2, instance, "supported", details)
 
@@ -448,107 +420,72 @@ def check_conjecture3(ambient, union_gens) -> ConjectureReport:
     instance = _instance_string(ambient, union_gens)
     details, failure = _union_gate(ambient, union_gens)
     if failure:
-        details["reason"] = failure
-        return ConjectureReport(3, instance, "skipped", details)
+        return _skip(3, instance, details, failure)
     exact = _window_exact(ambient, union_gens)
     details["window_exact"] = exact
     details["interpretation"] = (
         "products of at most len(basis) generalized-basis elements; "
         "edges use the first product found in each class"
     )
-    inst, reason = _instance_or_reason(ambient, union_gens)
+    inst, reason = _or_reason(_Instance, ambient, union_gens)
     if inst is None:
-        details["reason"] = reason
-        return ConjectureReport(3, instance, "skipped", details)
-    quotient, reason = _quotient_or_reason(ambient, union_gens)
+        return _skip(3, instance, details, reason)
+    quotient, reason = _or_reason(quotient_by_ideal, ambient, union_gens)
     if quotient is None:
-        details["reason"] = reason
-        return ConjectureReport(3, instance, "skipped", details)
+        return _skip(3, instance, details, reason)
     qmodel = _model(quotient)
     scan = _scan(quotient)
     ids = scan.class_ids
-    zero_cls = int(ids[qmodel.index(_zero_element(ambient))])
-    unit_cls = int(ids[qmodel.index(parse_element(ambient, "1"))])
-
-    members = set(ideal_members(ambient, union_gens))
-    basis = [
-        (vec, inst.vector_image(vec))
-        for vec in inst.divisor_vectors()
-        if inst.vector_image(vec) not in members
-    ]
+    one = parse_element(ambient, "1")
+    zero_cls = int(ids[qmodel.index(parse_element(ambient, "0"))])
+    unit_cls = int(ids[qmodel.index(one)])
+    basis = inst.basis()
     details["basis_size"] = len(basis)
 
-    # breadth-first closure over products, one representative per class
+    # breadth-first closure over products of basis elements, from the empty
+    # product; one exponent vector per class reached
     found: dict[int, tuple] = {}
-    queue = []
-    for vec, img in basis:
-        cls = int(ids[qmodel.index(img)])
-        if cls == zero_cls:
-            continue
-        if cls == unit_cls:
-            details["reason"] = (
-                "a basis element maps to a unit; the union expression is not minimal"
-            )
-            details["witness"] = element_label(ambient, img)
-            return ConjectureReport(3, instance, "skipped", details)
-        if cls not in found:
-            found[cls] = (vec, img, 1)
-            queue.append(cls)
-    head = 0
+    queue = [((0,) * len(inst.irreducibles), one, 0)]
     cap = max(1, len(basis))
-    while head < len(queue):
-        cls = queue[head]
-        head += 1
-        vec, img, length = found[cls]
+    for vec, img, length in queue:  # the loop visits entries appended below
         if length >= cap:
             continue
         for bvec, bimg in basis:
-            nvec = tuple(v + b for v, b in zip(vec, bvec))
             nimg = mul_elements(ambient, img, bimg)
-            ncls = int(ids[qmodel.index(nimg)])
-            if ncls == zero_cls or ncls in found:
+            cls = int(ids[qmodel.index(nimg)])
+            if cls == zero_cls or cls in found:
                 continue
-            if ncls == unit_cls:
-                details["reason"] = (
-                    "a basis product maps to a unit; the union expression is not minimal"
-                )
+            if cls == unit_cls:
+                # only from the empty product: img is a non-unit past length 0,
+                # and a multiple of a non-unit is a non-unit
                 details["witness"] = element_label(ambient, nimg)
-                return ConjectureReport(3, instance, "skipped", details)
-            found[ncls] = (nvec, nimg, length + 1)
-            queue.append(ncls)
+                reason = "a basis element maps to a unit; the union expression is not minimal"
+                return _skip(3, instance, details, reason)
+            found[cls] = tuple(v + b for v, b in zip(vec, bvec))
+            queue.append((found[cls], nimg, length + 1))
 
-    label_of = {}
-    for gid in scan.zd_gids:
-        rep = qmodel.element(int(scan.groups[gid].first))
-        label_of[gid] = element_label(quotient, rep)
+    label_of = {
+        gid: element_label(quotient, qmodel.element(scan.groups[gid].first))
+        for gid in scan.zd_gids
+    }
     predicted_vertices = sorted(found)
-    predicted_edges = set()
-    for i, c1 in enumerate(predicted_vertices):
-        for c2 in predicted_vertices[i + 1 :]:
-            if inst.divides_some_gen(
-                tuple(a + b for a, b in zip(found[c1][0], found[c2][0]))
-            ):
-                predicted_edges.add(frozenset((c1, c2)))
+    predicted_edges = {
+        (c1, c2)
+        for i, c1 in enumerate(predicted_vertices)
+        for c2 in predicted_vertices[i + 1 :]
+        if inst.divides_some_gen(tuple(a + b for a, b in zip(found[c1], found[c2])))
+    }
     predicted_loops = {
         c for c in predicted_vertices
-        if inst.divides_some_gen(tuple(2 * v for v in found[c][0]))
+        if inst.divides_some_gen(tuple(2 * v for v in found[c]))
     }
 
     oracle = oracle_compressed_graph(quotient, loops=True)
-    oracle_label_to_gid = {}
-    for gid in scan.zd_gids:
-        oracle_label_to_gid[label_of[gid]] = gid
-    o_vertices = sorted(oracle_label_to_gid[v.label] for v in oracle.vertices)
-    o_edges = {
-        frozenset(
-            (
-                oracle_label_to_gid[oracle.vertices[i].label],
-                oracle_label_to_gid[oracle.vertices[j].label],
-            )
-        )
-        for i, j in oracle.edges
-    }
-    o_loops = {oracle_label_to_gid[v.label] for v in oracle.vertices if v.loop}
+    gid_of = {label: gid for gid, label in label_of.items()}
+    o_gids = [gid_of[v.label] for v in oracle.vertices]
+    o_vertices = sorted(o_gids)
+    o_edges = {tuple(sorted((o_gids[i], o_gids[j]))) for i, j in oracle.edges}
+    o_loops = {gid for gid, v in zip(o_gids, oracle.vertices) if v.loop}
 
     details["oracle_graph_digest"] = _digest(oracle)
     details["predicted_vertices"] = [label_of.get(c, "?") for c in predicted_vertices]
@@ -572,8 +509,7 @@ def check_conjecture3(ambient, union_gens) -> ConjectureReport:
     details["mismatch"] = mismatch
     if exact:
         return ConjectureReport(3, instance, "counterexample", details)
-    details["reason"] = "window truncation artifact; ambient hypothesis unmet"
-    return ConjectureReport(3, instance, "skipped", details)
+    return _skip(3, instance, details, _TRUNCATION)
 
 
 # --- conjecture 4 -------------------------------------------------------------
@@ -611,7 +547,7 @@ def _c4_side_gate(ambient, gens, details, side):
         return f"side {side}: {failure}", None
     if len(ideal_members(ambient, gens)) == 1:
         return f"side {side}: ideal is trivial", None
-    quotient, reason = _quotient_or_reason(ambient, gens)
+    quotient, reason = _or_reason(quotient_by_ideal, ambient, gens)
     if quotient is None:
         return f"side {side}: {reason}", None
     if not zero_divisor_classes(quotient):
@@ -630,25 +566,21 @@ def check_conjecture4(
     details: dict = {}
     failure, quotient1 = _c4_side_gate(ambient1, union_gens1, details, 1)
     if failure:
-        details["reason"] = failure
-        return ConjectureReport(4, instance, "skipped", details)
+        return _skip(4, instance, details, failure)
     failure, quotient2 = _c4_side_gate(ambient2, union_gens2, details, 2)
     if failure:
-        details["reason"] = failure
-        return ConjectureReport(4, instance, "skipped", details)
+        return _skip(4, instance, details, failure)
 
-    inst1, reason1 = _instance_or_reason(ambient1, union_gens1)
-    inst2, reason2 = _instance_or_reason(ambient2, union_gens2)
+    inst1, reason1 = _or_reason(_Instance, ambient1, union_gens1)
+    inst2, reason2 = _or_reason(_Instance, ambient2, union_gens2)
     if inst1 is None or inst2 is None:
-        details["reason"] = (
-            f"side 1: {reason1}" if inst1 is None else f"side 2: {reason2}"
-        )
-        return ConjectureReport(4, instance, "skipped", details)
+        reason = f"side 1: {reason1}" if inst1 is None else f"side 2: {reason2}"
+        return _skip(4, instance, details, reason)
     rows1, rows2 = _pattern(inst1), _pattern(inst2)
     details["patterns"] = [sorted(rows1), sorted(rows2)]
     if not _patterns_match(rows1, rows2):
-        details["reason"] = "exponent patterns do not match; the conjecture asserts sufficiency only"
-        return ConjectureReport(4, instance, "skipped", details)
+        reason = "exponent patterns do not match; the conjecture asserts sufficiency only"
+        return _skip(4, instance, details, reason)
 
     exact1 = _window_exact(ambient1, union_gens1)
     exact2 = _window_exact(ambient2, union_gens2)
@@ -662,8 +594,7 @@ def check_conjecture4(
         try:
             report = graphs_isomorphic(g1, g2, budget=budget)
         except SearchBudgetExceeded:
-            details["reason"] = "isomorphism search exceeded the node budget"
-            return ConjectureReport(4, instance, "skipped", details)
+            return _skip(4, instance, details, "isomorphism search exceeded the node budget")
         if report.isomorphic:
             return ConjectureReport(4, instance, "supported", details)
         details["witness_graphs"] = [
@@ -684,11 +615,11 @@ def check_conjecture4(
         details["separating"] = report.separating
         return ConjectureReport(4, instance, "counterexample", details)
 
-    details["reason"] = (
+    reason = (
         "window truncation prevents the oracle layer and no predicted "
         "construction exists for multi-generator ideals"
     )
-    return ConjectureReport(4, instance, "skipped", details)
+    return _skip(4, instance, details, reason)
 
 
 # --- instance families and scan drivers ---------------------------------------

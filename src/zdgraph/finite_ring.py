@@ -457,10 +457,9 @@ class _Group:
 
 
 class _Scan:
-    __slots__ = ("spec", "class_ids", "groups", "zd_gids")
+    __slots__ = ("class_ids", "groups", "zd_gids")
 
-    def __init__(self, spec, class_ids, groups, zd_gids):
-        self.spec = spec
+    def __init__(self, class_ids, groups, zd_gids):
         self.class_ids = class_ids
         self.groups = groups
         self.zd_gids = zd_gids
@@ -521,7 +520,7 @@ def _scan(spec) -> _Scan:
     zd_gids = tuple(
         gid for gid, g in enumerate(groups) if g.ann_count >= 2 and g.first != 0
     )
-    return _Scan(spec, class_ids, groups, zd_gids)
+    return _Scan(class_ids, groups, zd_gids)
 
 
 # --- public oracle operations -----------------------------------------------
@@ -658,9 +657,14 @@ def ideal_is_union(spec, ideal_gens: list, union_candidates: list) -> bool:
 
 
 def quotient_by_ideal(spec, gens: list) -> QuotientRing:
-    """Spec for the quotient of a finite model by the ideal the gens generate."""
+    """Spec for the quotient of a finite model by the ideal the gens generate.
+
+    Builds the quotient model here, so an ideal that is the whole ring raises
+    ValueError now rather than at the first use of the quotient."""
     model = _model(spec)
-    return QuotientRing(spec, tuple(model.index(g) for g in gens))
+    quotient = QuotientRing(spec, tuple(model.index(g) for g in gens))
+    _model(quotient)
+    return quotient
 
 
 def mul_elements(spec, a, b):

@@ -283,6 +283,28 @@ class TestConjecture4:
         assert report.details["reason"] == "window truncation artifact; ambient hypothesis unmet"
 
 
+class TestUnitGenerator:
+    """A unit generator other than 1 makes the ideal the whole ring."""
+
+    WHOLE_RING = "ideal is the whole ring; the quotient would be the zero ring"
+
+    @pytest.mark.parametrize("check", [check_conjecture2, check_conjecture3])
+    @pytest.mark.parametrize("line", ["Z/20 | 7", "F2[x]/(x^3+x+1) | x+1"])
+    def test_conjectures_2_and_3_skip(self, check, line):
+        report = check(*parse_instance_line(2, line))
+        assert report.verdict == "skipped"
+        assert report.details["reason"] == self.WHOLE_RING
+
+    @pytest.mark.parametrize(
+        "line, side",
+        [("Z/20 | 7 | Z/8 | 4", 1), ("Z/8 | 4 | F2[x]/(x^3+x+1) | x+1", 2)],
+    )
+    def test_conjecture4_names_the_side(self, line, side):
+        report = check_conjecture4(*parse_instance_line(4, line))
+        assert report.verdict == "skipped"
+        assert report.details["reason"] == f"side {side}: {self.WHOLE_RING}"
+
+
 class TestScans:
     def test_conjecture2_defaults(self):
         reports = scan_conjecture(2)

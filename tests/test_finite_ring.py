@@ -390,6 +390,10 @@ class TestIdeals:
         with pytest.raises(ValueError):
             ring_size(quotient_by_ideal(IntegersMod(12), [1]))
 
+    def test_quotient_by_unit_fails_when_built(self):
+        with pytest.raises(ValueError, match="whole ring"):
+            quotient_by_ideal(IntegersMod(20), [7])
+
 
 class TestQuotientRing:
     def test_z48_mod_12_matches_z12(self):
