@@ -3,20 +3,27 @@
 The library works over two unique factorization domains: the rational
 integers, and univariate polynomials over a prime field F_p.  This module
 provides the shared value types (FpPoly, Irreducible, Factorization),
-factorization into irreducibles by trial division, associate
+factorization into irreducibles, associate
 canonicalization (positive integers, monic polynomials), multiplicity
 vectors with gcd on exponents, and the text forms used by the CLI and the
 JSON graph format.
 
-Scale is deliberately modest: integers up to around 10**12 and polynomials
-of degree up to around 8 over p <= 13 factor quickly by trial division.
+Integers factor by trial division below 1000, then deterministic
+Miller-Rabin (bases 2..41, exact below 3.3*10**24; Sorenson & Webster 2015)
+and Pollard-Brent rho with a fixed seed (Brent 1980).  That takes well under
+a second while the second-largest prime factor stays below about 10**11
+(0.03 s for a product of two primes near 10**9); a prime factor above
+3.3*10**24 is certified by trial division, which does not finish in
+practice.  Polynomials still factor by trial division: degree up to around
+25 over F_2 and 8 over F_13.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from itertools import product as _cartesian
+from itertools import count, product as _cartesian
 
 __all__ = [
     "FpPoly",
@@ -36,20 +43,86 @@ __all__ = [
 ]
 
 
+# Trial division runs over 2, 3 and 6k+-1 below _TRIAL_LIMIT; a cofactor
+# it leaves has no prime factor below the limit, so one below its square
+# is prime.  Miller-Rabin with the first 13 primes as bases is exact below
+# _MR_LIMIT (Sorenson & Webster 2015); past it a probable prime is settled
+# by trial division, which is slow but never wrong.
+_TRIAL_LIMIT = 1000
+_TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check, fine at desk scale."""
-    if n < 2:
-        return False
+    """Deterministic primality: trial division for n below 10**6, else
+    Miller-Rabin, exact below 3.3*10**24 and backed by trial division past it."""
+    if n < _TRIAL_SQUARE:
+        return _trial_is_prime(n)
+    return _strong_probable_prime(n) and (n < _MR_LIMIT or _trial_is_prime(n))
+
+
+def _trial_is_prime(n: int) -> bool:
     if n < 4:
-        return True
-    if n % 2 == 0:
+        return n >= 2
+    if n % 2 == 0 or n % 3 == 0:
         return False
-    d = 3
+    d = 5
     while d * d <= n:
-        if n % d == 0:
+        if n % d == 0 or n % (d + 2) == 0:
             return False
-        d += 2
+        d += 6
     return True
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES: False proves n composite, and
+    True proves n prime when n < _MR_LIMIT."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below
+    _TRIAL_LIMIT: Brent's rho on x -> x^2 + c from x = 2, trying
+    c = 1, 2, ... in turn, so the result is deterministic."""
+    batch = 128
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:  # the batch's product hit 0 mod n: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 # --- polynomials over F_p -------------------------------------------------
@@ -216,7 +289,8 @@ class Irreducible:
     """A canonical irreducible: a positive prime, or a monic irreducible poly.
 
     Irreducibility is certified by the factoring routine that produced the
-    value; recheck() re-verifies by trial division.
+    value; recheck() re-verifies it independently (is_prime for integers,
+    trial division for polynomials).
     """
 
     value: int | FpPoly
@@ -244,7 +318,7 @@ class Irreducible:
         return self.value.sort_key()
 
     def recheck(self) -> bool:
-        """Re-verify irreducibility by trial division."""
+        """Re-verify irreducibility: is_prime, or trial division by monic polys."""
         v = self.value
         if isinstance(v, int):
             return is_prime(v)
@@ -324,7 +398,12 @@ class Factorization:
 
 
 def factor_integer(n: int) -> Factorization:
-    """Factor an integer n >= 2 into primes by trial division."""
+    """Factor an integer n >= 2 into primes.
+
+    Trial division takes out the primes below _TRIAL_LIMIT.  Each cofactor
+    left above the limit's square is either prime by is_prime or split by
+    Pollard-Brent rho.
+    """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"expected an int, got {type(n).__name__}")
     if n < 2:
@@ -340,7 +419,7 @@ def factor_integer(n: int) -> Factorization:
             pairs.append((Irreducible(d), e))
     # remaining candidates 6k +- 1
     d = 5
-    while d * d <= m:
+    while d * d <= m and d < _TRIAL_LIMIT:
         for cand in (d, d + 2):
             e = 0
             while m % cand == 0:
@@ -349,8 +428,17 @@ def factor_integer(n: int) -> Factorization:
             if e:
                 pairs.append((Irreducible(cand), e))
         d += 6
-    if m > 1:
-        pairs.append((Irreducible(m), 1))
+    # every prime factor of m is at least d
+    large: dict[int, int] = {}
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        if d * d > m or is_prime(m):
+            large[m] = large.get(m, 0) + 1
+        else:
+            f = _pollard_brent(m)
+            pending += [f, m // f]
+    pairs += ((Irreducible(q), e) for q, e in sorted(large.items()))
     return Factorization("int", 1, tuple(pairs))
 
 

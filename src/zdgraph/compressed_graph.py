@@ -215,12 +215,37 @@ def _basis_graph(s, vectors, labels, loops: bool) -> CompressedGraph:
         Vertex(label, exponents=v, loop=loops and all(2 * x >= e for x, e in zip(v, s)))
         for v, label in zip(vectors, labels)
     )
-    edges = tuple(
-        (a, b)
-        for a, b in combinations(range(len(vectors)), 2)
-        if all(x + y >= e for x, y, e in zip(vectors[a], vectors[b], s))
-    )
-    return CompressedGraph(verts, edges, loops)
+    return CompressedGraph(verts, _basis_edges(s, vectors), loops)
+
+
+# Pairs tested per block in _basis_edges: a graph of up to 256 vertices
+# takes one pass, a larger one is swept in blocks of rows, so the boolean
+# temporaries stay near 64 KiB and no V x V array is allocated.
+_EDGE_BLOCK = 1 << 16
+
+
+def _basis_edges(s, vectors) -> list[tuple[int, int]]:
+    """The pairs (a, b), a < b, with vectors[b] >= s - vectors[a] componentwise."""
+    # Imported here so that `import zdgraph` still loads numpy only after its
+    # other modules: loading it first left about 1 MB more resident when the
+    # modules compile from source (no cached bytecode).
+    import numpy as np
+
+    n = len(vectors)
+    comps = np.array(vectors, dtype=np.int64).reshape(n, len(s)).T  # comps[i] = component i
+    need = np.array(s, dtype=np.int64)[:, None] - comps
+    ids = np.array(range(n), dtype=object)  # edge endpoints share these ints
+    edges: list[tuple[int, int]] = []
+    step = max(1, _EDGE_BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        # rows a in [lo, lo + step) against columns b in [lo, n)
+        hit = comps[0, lo:] >= need[0, lo : lo + step, None]
+        for c, t in zip(comps[1:], need[1:]):
+            hit &= c[lo:] >= t[lo : lo + step, None]
+        rows, cols = np.nonzero(hit)
+        upper = cols > rows
+        edges.extend(zip(ids[rows[upper] + lo].tolist(), ids[cols[upper] + lo].tolist()))
+    return edges
 
 
 def graph_from_exponents(s: tuple[int, ...], loops: bool) -> CompressedGraph:

@@ -1,8 +1,11 @@
 """Factorization and multiplicity vectors, checked against direct arithmetic."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zdgraph.arithmetic import (
     Factorization,
@@ -26,14 +29,40 @@ def naive_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, n))
 
 
+def sqrt_trial_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
 class TestIsPrime:
     def test_small_range_against_naive(self):
-        for n in range(-3, 500):
+        for n in range(-3, 10**4):
             assert is_prime(n) == naive_is_prime(n), n
+
+    def test_miller_rabin_range_against_trial_division(self):
+        # is_prime switches from trial division to Miller-Rabin at 10**6
+        for n in range(10**6 - 2000, 10**6 + 3000):
+            assert is_prime(n) == sqrt_trial_is_prime(n), n
 
     def test_known_large(self):
         assert is_prime(9973)
         assert not is_prime(9991)  # 97 * 103
+        assert is_prime(2**61 - 1)
+        assert is_prime(10**18 + 3)
+        assert Irreducible(10**18 + 3).recheck()
+
+    def test_pseudoprimes_are_composite(self):
+        assert not is_prime(561)  # Carmichael numbers
+        assert not is_prime(41041)
+        assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+        assert not is_prime(3825123056546413051)  # strong pseudoprime to bases 2..23
+        assert not is_prime(318665857834031151167461)  # strong pseudoprime to bases 2..37
+        assert not is_prime((2**61 - 1) * (2**89 - 1))  # past the deterministic bound
 
 
 class TestFactorInteger:
@@ -58,6 +87,46 @@ class TestFactorInteger:
     def test_prime_power(self):
         f = factor_integer(243)
         assert [(irr.value, e) for irr, e in f.factors] == [(3, 5)]
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            ((10**9 + 7) * (10**9 + 9), [(10**9 + 7, 1), (10**9 + 9, 1)]),
+            ((10**9 + 7) ** 2, [(10**9 + 7, 2)]),
+            (2**61 - 1, [(2**61 - 1, 1)]),
+            (561, [(3, 1), (11, 1), (17, 1)]),
+            (41041, [(7, 1), (11, 1), (13, 1), (41, 1)]),
+            (3215031751, [(151, 1), (751, 1), (28351, 1)]),
+            (999983**5, [(999983, 5)]),
+            # above the deterministic Miller-Rabin bound, but composite
+            (1000003 * (10**9 + 7) * (2**61 - 1), [(1000003, 1), (10**9 + 7, 1), (2**61 - 1, 1)]),
+        ],
+    )
+    def test_pinned(self, n, factors):
+        assert [(irr.value, e) for irr, e in factor_integer(n).factors] == factors
+
+    # Runs under hypothesis's default deadline: trial division takes seconds
+    # on most of these, Pollard-Brent rho at most tens of milliseconds.
+    @given(
+        st.lists(st.integers(10**3, 10**9).map(next_prime), min_size=1, max_size=2),
+        st.integers(0, 1000),
+    )
+    def test_round_trip_at_1e18_scale(self, primes, offset):
+        n = math.prod(primes)
+        n *= next_prime(10**18 // n + offset)
+        f = factor_integer(n)
+        values = [irr.value for irr in f.irreducibles()]
+        assert values == sorted(set(values))
+        assert f.value() == n
+        assert all(is_prime(v) for v in values)
+
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2015)
+        cases = [rng.randrange(10 ** (k - 1), 10**k) for k in range(2, 19) for _ in range(12)]
+        cases += [next_prime(rng.randrange(10**8, 10**9)) * next_prime(rng.randrange(10**9)) for _ in range(8)]
+        for n in cases:
+            assert {irr.value: e for irr, e in factor_integer(n).factors} == sympy.factorint(n), n
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

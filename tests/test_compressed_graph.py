@@ -1,5 +1,6 @@
 """Basis-path graphs checked against direct modular arithmetic on divisors."""
 
+import itertools
 import json
 import math
 
@@ -165,6 +166,40 @@ class TestGraphFromFactorization:
 
         assert len(labeled.vertices) == len(bare.vertices)
         assert keyed(labeled) == keyed(bare)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_graph_from_exponents_matches_the_definition(self, data, loops):
+        # signatures of length 1-8 with exponents 1-4 and at most 300 divisors
+        s, divisors = [], 1
+        for _ in range(data.draw(st.integers(1, 8))):
+            if divisors * 2 > 300:
+                break
+            e = data.draw(st.integers(1, min(4, 300 // divisors - 1)))
+            s.append(e)
+            divisors *= e + 1
+        g = graph_from_exponents(tuple(s), loops)
+        vecs = [v.exponents for v in g.vertices]
+        assert sorted(vecs) == sorted(
+            v for v in itertools.product(*(range(e + 1) for e in s)) if any(v) and list(v) != s
+        )
+        expected = set()
+        for i in range(len(vecs)):
+            for j in range(i + 1, len(vecs)):
+                if all(a + b >= e for a, b, e in zip(vecs[i], vecs[j], s)):
+                    expected.add((i, j))
+        assert set(g.edges) == expected
+        assert [v.loop for v in g.vertices] == [
+            loops and all(2 * a >= e for a, e in zip(v, s)) for v in vecs
+        ]
+
+    def test_1438_vertex_signature(self):
+        # Z/3170267100 = 2^2 * 3^4 * 5^2 * 7 * 11 * 13 * 17 * 23
+        for g in (
+            graph_from_exponents((4, 2, 2, 1, 1, 1, 1, 1), loops=True),
+            graph_from_factorization(factor_integer(3170267100), loops=True),
+        ):
+            assert (len(g.vertices), len(g.edges), g.loop_count) == (1438, 64165, 11)
 
 
 class TestGcdClassRepresentative:

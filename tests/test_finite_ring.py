@@ -471,6 +471,10 @@ class TestGrammar:
             2, ((2, 0), (1, 1), (0, 2))
         )
 
+    def test_characteristic_near_1e18_parses(self):
+        p = 10**18 + 3
+        assert parse_ring_spec(f"F{p}[x]/(x)") == PolyQuotient(p, FpPoly(p, (0, 1)))
+
     def test_whitespace_tolerated(self):
         assert parse_ring_spec("F2[x, y]/(x^2, y^2)") == BivariateMonomialQuotient(
             2, ((2, 0), (0, 2))
