@@ -12,10 +12,10 @@ Integers factor by trial division below 1000, then deterministic
 Miller-Rabin (bases 2..41, exact below 3.3*10**24; Sorenson & Webster 2015)
 and Pollard-Brent rho with a fixed seed (Brent 1980).  That takes well under
 a second while the second-largest prime factor stays below about 10**11
-(0.03 s for a product of two primes near 10**9); a prime factor above
-3.3*10**24 is certified by trial division, which does not finish in
-practice.  Polynomials still factor by trial division: degree up to around
-25 over F_2 and 8 over F_13.
+(0.03 s for a product of two primes near 10**9).  A probable prime above
+3.3*10**24 cannot be certified, so is_prime raises UncertifiedPrime for it
+rather than answer either way.  Polynomials still factor by trial
+division: degree up to around 25 over F_2 and 8 over F_13.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "gcd_exponents",
     "poly_gcd",
     "is_prime",
+    "UncertifiedPrime",
     "monic_polys",
     "format_poly_compact",
     "parse_poly_compact",
@@ -46,20 +47,36 @@ __all__ = [
 # Trial division runs over 2, 3 and 6k+-1 below _TRIAL_LIMIT; a cofactor
 # it leaves has no prime factor below the limit, so one below its square
 # is prime.  Miller-Rabin with the first 13 primes as bases is exact below
-# _MR_LIMIT (Sorenson & Webster 2015); past it a probable prime is settled
-# by trial division, which is slow but never wrong.
+# _MR_LIMIT (Sorenson & Webster 2015); past it a probable prime is left
+# uncertified.
 _TRIAL_LIMIT = 1000
 _TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
+class UncertifiedPrime(ArithmeticError):
+    """A number passed Miller-Rabin above 3.3*10**24, where that test proves
+    nothing and no primality certificate is implemented."""
+
+    def __init__(self, n: int):
+        super().__init__(
+            f"{n} is a probable prime above {_MR_LIMIT}; its primality cannot be certified"
+        )
+        self.n = n
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality: trial division for n below 10**6, else
-    Miller-Rabin, exact below 3.3*10**24 and backed by trial division past it."""
+    Miller-Rabin, exact below 3.3*10**24.  Past that bound a composite is
+    still found composite, and a probable prime raises UncertifiedPrime."""
     if n < _TRIAL_SQUARE:
         return _trial_is_prime(n)
-    return _strong_probable_prime(n) and (n < _MR_LIMIT or _trial_is_prime(n))
+    if not _strong_probable_prime(n):
+        return False
+    if n >= _MR_LIMIT:
+        raise UncertifiedPrime(n)
+    return True
 
 
 def _trial_is_prime(n: int) -> bool:

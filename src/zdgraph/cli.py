@@ -3,7 +3,8 @@
 Subcommands: graph (full zero-divisor graph), compress (compressed graph),
 iso (isomorphism query), verify (cross-validation sweeps), conjecture
 (harness scans). Exit codes: 0/1 carry boolean query results, 2 grammar or
-usage errors, 3 isomorphism budget exhaustion, 4 verification failure.
+usage errors, a size bound or a prime that cannot be certified, 3
+isomorphism budget exhaustion, 4 verification failure.
 All output is byte-deterministic for fixed inputs.
 """
 
@@ -14,7 +15,7 @@ import json
 import sys
 from collections import Counter
 
-from .arithmetic import factor_integer, factor_polynomial
+from .arithmetic import UncertifiedPrime, factor_integer, factor_polynomial
 from .compressed_graph import graph_from_factorization, to_dot, to_json
 from .conjectures import (
     DEFAULT_BUDGET,
@@ -238,7 +239,7 @@ def run(argv=None, out=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args, out)
-    except (GrammarError, RingTooLarge) as exc:
+    except (GrammarError, RingTooLarge, UncertifiedPrime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchBudgetExceeded as exc:

@@ -29,14 +29,13 @@ from .arithmetic import (
     format_poly_pretty,
     poly_gcd,
 )
-from .compressed_graph import graph_from_exponents, to_json as graph_json
+from .compressed_graph import CompressedGraph, graph_from_exponents, to_json as graph_json
 from .finite_ring import (
     SCAN_LIMIT,
     BivariateMonomialQuotient,
     IntegersMod,
     PolyQuotient,
-    _model,
-    _scan,
+    annihilator,
     count_regular_elements,
     element_label,
     format_ring_spec,
@@ -48,6 +47,7 @@ from .finite_ring import (
     parse_element,
     parse_ring_spec,
     quotient_by_ideal,
+    ring_table,
     standard_monomials,
     zero_divisor_classes,
 )
@@ -229,11 +229,8 @@ def _ufd_gcd(ambient, a, gens):
 
 
 def _is_unit_gen(ambient, g) -> bool:
-    if isinstance(ambient, IntegersMod):
-        return int(g) == 1
-    if isinstance(ambient, PolyQuotient):
-        return g.degree == 0
-    return _support(ambient, g) == [(0, 0)]
+    # in a finite ring an element is a unit exactly when only 0 annihilates it
+    return len(annihilator(ambient, g)) == 1
 
 
 def _union_gate(ambient, gens):
@@ -245,7 +242,7 @@ def _union_gate(ambient, gens):
         if g == parse_element(ambient, "0"):
             return details, "zero generator"
         if _is_unit_gen(ambient, g):
-            return details, "a generator is a unit, so the ideal is the whole ring"
+            return details, "ideal is the whole ring; the quotient would be the zero ring"
     union_ok = ideal_is_union(ambient, gens, gens)
     details["union_in_window"] = union_ok
     if not union_ok:
@@ -260,12 +257,12 @@ def _union_gate(ambient, gens):
     return details, None
 
 
-def _or_reason(build, ambient, gens):
-    """(build(ambient, gens), None), or (None, reason) when build refuses the
-    generators: a unit ideal for quotient_by_ideal, a generator outside the
-    supported forms for _Instance."""
+def _instance_or_reason(ambient, gens):
+    """(_Instance(ambient, gens), None), or (None, reason) for a generator
+    outside the supported forms.  Gens that passed _union_gate include no
+    unit, so their quotient is never the zero ring."""
     try:
-        return build(ambient, gens), None
+        return _Instance(ambient, gens), None
     except ValueError as exc:
         return None, str(exc)
 
@@ -291,24 +288,52 @@ def generalized_basis(ambient, union_gens) -> list:
 # --- conjecture 1 -------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _RingSides:
+    """The per-ring half of a conjecture-1 check; kept in the ring table, so
+    it holds only immutable values."""
+
+    full: CompressedGraph  # the full graph's compressed view
+    full_digest: str
+    looped: CompressedGraph
+    looped_digest: str
+    unlooped: CompressedGraph
+    regular: int
+
+
+def _ring_sides(spec) -> _RingSides:
+    full = full_zero_divisor_graph(spec).as_compressed()
+    looped = oracle_compressed_graph(spec, loops=True)
+    return _RingSides(
+        full,
+        _digest(full),
+        looped,
+        _digest(looped),
+        oracle_compressed_graph(spec, loops=False),
+        count_regular_elements(spec),
+    )
+
+
 def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureReport:
-    """Full-graph isomorphism against the compressed-graph-and-count test."""
+    """Full-graph isomorphism against the compressed-graph-and-count test.
+
+    Each ring's graphs, digests and regular-element count are built once
+    and kept in its ring table, so a ring that appears in many pairs pays
+    for them once; every pair still runs its own isomorphism searches."""
     instance = f"{format_ring_spec(spec1)} | {format_ring_spec(spec2)}"
     details: dict = {}
-    full1 = full_zero_divisor_graph(spec1).as_compressed()
-    full2 = full_zero_divisor_graph(spec2).as_compressed()
-    details["full_graph_sizes"] = [len(full1.vertices), len(full2.vertices)]
-    details["full_graph_digests"] = [_digest(full1), _digest(full2)]
-    gl1 = oracle_compressed_graph(spec1, loops=True)
-    gl2 = oracle_compressed_graph(spec2, loops=True)
+    r1 = ring_table(spec1).keep(_ring_sides)
+    r2 = ring_table(spec2).keep(_ring_sides)
+    details["full_graph_sizes"] = [len(r1.full.vertices), len(r2.full.vertices)]
+    details["full_graph_digests"] = [r1.full_digest, r2.full_digest]
     try:
-        lhs = graphs_isomorphic(full1, full2, respect_loops=False, budget=budget).isomorphic
+        lhs = graphs_isomorphic(r1.full, r2.full, respect_loops=False, budget=budget).isomorphic
     except SearchBudgetExceeded:
         # isomorphic size-preserving compressed graphs blow up to isomorphic
         # full graphs; any other outcome leaves the full-graph side undecided
         try:
             lhs = graphs_isomorphic(
-                gl1, gl2, respect_loops=True, respect_sizes=True, budget=budget
+                r1.looped, r2.looped, respect_loops=True, respect_sizes=True, budget=budget
             ).isomorphic
         except SearchBudgetExceeded:
             lhs = False
@@ -318,16 +343,13 @@ def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureR
         details["full_isomorphism_via"] = "size-preserving compressed blow-up"
 
     try:
-        compressed_iso = graphs_isomorphic(gl1, gl2, budget=budget).isomorphic
+        compressed_iso = graphs_isomorphic(r1.looped, r2.looped, budget=budget).isomorphic
         unlooped_iso = graphs_isomorphic(
-            oracle_compressed_graph(spec1, loops=False),
-            oracle_compressed_graph(spec2, loops=False),
-            respect_loops=False,
-            budget=budget,
+            r1.unlooped, r2.unlooped, respect_loops=False, budget=budget
         ).isomorphic
     except SearchBudgetExceeded:
         return _skip(1, instance, details, "compressed-graph search exceeded the node budget")
-    counts = [count_regular_elements(spec1), count_regular_elements(spec2)]
+    counts = [r1.regular, r2.regular]
     rhs = compressed_iso and counts[0] == counts[1]
     details.update(
         {
@@ -337,7 +359,7 @@ def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureR
             "regular_element_counts": counts,
             "rhs_looped_reading": rhs,
             "rhs_unlooped_reading": unlooped_iso and counts[0] == counts[1],
-            "compressed_graph_digests": [_digest(gl1), _digest(gl2)],
+            "compressed_graph_digests": [r1.looped_digest, r2.looped_digest],
         }
     )
     if lhs == rhs:
@@ -348,7 +370,7 @@ def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureR
         else "compressed-and-count test passes but full graphs are not isomorphic"
     )
     details["witness_graphs"] = {
-        "compressed_looped": [json.loads(graph_json(gl1)), json.loads(graph_json(gl2))],
+        "compressed_looped": [json.loads(graph_json(r.looped)) for r in (r1, r2)],
     }
     return ConjectureReport(1, instance, "counterexample", details)
 
@@ -371,13 +393,11 @@ def check_conjecture2(ambient, union_gens, sample=None) -> ConjectureReport:
         return _skip(2, instance, details, failure)
     exact = _window_exact(ambient, union_gens)
     details["window_exact"] = exact
-    quotient, reason = _or_reason(quotient_by_ideal, ambient, union_gens)
-    if quotient is None:
-        return _skip(2, instance, details, reason)
+    quotient = quotient_by_ideal(ambient, union_gens)
     details["quotient_graph_digest"] = _digest(oracle_compressed_graph(quotient, loops=True))
-    qmodel = _model(quotient)
-    scan = _scan(quotient)
-    amodel = _model(ambient)
+    qtable = ring_table(quotient)
+    qmodel, scan = qtable.model, qtable.scan
+    amodel = ring_table(ambient).model
     if sample is None:
         elems = [amodel.element(i) for i in _sample_indices(amodel.size)]
         details["sample"] = (
@@ -427,14 +447,12 @@ def check_conjecture3(ambient, union_gens) -> ConjectureReport:
         "products of at most len(basis) generalized-basis elements; "
         "edges use the first product found in each class"
     )
-    inst, reason = _or_reason(_Instance, ambient, union_gens)
+    inst, reason = _instance_or_reason(ambient, union_gens)
     if inst is None:
         return _skip(3, instance, details, reason)
-    quotient, reason = _or_reason(quotient_by_ideal, ambient, union_gens)
-    if quotient is None:
-        return _skip(3, instance, details, reason)
-    qmodel = _model(quotient)
-    scan = _scan(quotient)
+    quotient = quotient_by_ideal(ambient, union_gens)
+    qtable = ring_table(quotient)
+    qmodel, scan = qtable.model, qtable.scan
     ids = scan.class_ids
     one = parse_element(ambient, "1")
     zero_cls = int(ids[qmodel.index(parse_element(ambient, "0"))])
@@ -547,9 +565,7 @@ def _c4_side_gate(ambient, gens, details, side):
         return f"side {side}: {failure}", None
     if len(ideal_members(ambient, gens)) == 1:
         return f"side {side}: ideal is trivial", None
-    quotient, reason = _or_reason(quotient_by_ideal, ambient, gens)
-    if quotient is None:
-        return f"side {side}: {reason}", None
+    quotient = quotient_by_ideal(ambient, gens)
     if not zero_divisor_classes(quotient):
         return f"side {side}: ideal is maximal in the window model", None
     return None, quotient
@@ -571,8 +587,8 @@ def check_conjecture4(
     if failure:
         return _skip(4, instance, details, failure)
 
-    inst1, reason1 = _or_reason(_Instance, ambient1, union_gens1)
-    inst2, reason2 = _or_reason(_Instance, ambient2, union_gens2)
+    inst1, reason1 = _instance_or_reason(ambient1, union_gens1)
+    inst2, reason2 = _instance_or_reason(ambient2, union_gens2)
     if inst1 is None or inst2 is None:
         reason = f"side 1: {reason1}" if inst1 is None else f"side 2: {reason2}"
         return _skip(4, instance, details, reason)

@@ -16,13 +16,26 @@ canonical form of its multiplication matrix over F_p, whose kernel is
 ann(r).  That matrix is read off the structure tensor, which is the
 multiplication table in coordinates, so neither scan ever sees a
 factorization.
+
+Everything derived from one ring spec lives in its RingTable, which
+ring_table(spec) returns: the model, the annihilator scan (built on first
+use, its members stored as slices of one int32 array), and whatever a
+caller that reuses per-ring results asks it to keep (conjecture 1 keeps
+each ring's graphs and digests; nothing else keeps full graphs).  Tables
+sit in one least-recently-used cache charged with the bytes each table
+holds, and the charge never exceeds TABLE_BUDGET; a table larger than the
+budget on its own is built, used and dropped.  The 1999 scans of
+`zdgraph verify --max-n 2000` charge about 22.5 MB, so the budget of 64 MB
+holds them all and none is built twice.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +54,7 @@ __all__ = [
     "FULL_GRAPH_LIMIT",
     "SCAN_LIMIT",
     "EXHAUSTIVE_LIMIT",
+    "TABLE_BUDGET",
     "GrammarError",
     "RingTooLarge",
     "IntegersMod",
@@ -48,6 +62,8 @@ __all__ = [
     "BivariateMonomialQuotient",
     "QuotientRing",
     "AnnihilatorClass",
+    "RingTable",
+    "ring_table",
     "ring_size",
     "standard_monomials",
     "enumerate_elements",
@@ -73,6 +89,8 @@ ENUMERATION_LIMIT = 10**6
 FULL_GRAPH_LIMIT = 10**4
 SCAN_LIMIT = 20000
 EXHAUSTIVE_LIMIT = 2000
+# Bytes that the cached ring tables may hold together (see RingTable).
+TABLE_BUDGET = 64 * 2**20
 
 
 class GrammarError(ValueError):
@@ -176,7 +194,7 @@ def ring_size(spec) -> int:
     if isinstance(spec, BivariateMonomialQuotient):
         return spec.p ** len(standard_monomials(spec))
     if isinstance(spec, QuotientRing):
-        return _model(spec).size
+        return ring_table(spec).model.size
     raise TypeError(f"unsupported ring spec {spec!r}")
 
 
@@ -201,15 +219,14 @@ class _IntModel(_ZeroPatternKeys):
         self.n = n
         self.size = n
         self.row_block = max(1, 2**21 // n)
-        self._all = np.arange(n, dtype=np.int64)
 
     def mul_rows(self, rows) -> np.ndarray:
         r = np.asarray(rows, dtype=np.int64)
-        return (r[:, None] * self._all) % self.n
+        return (r[:, None] * np.arange(self.n, dtype=np.int64)) % self.n
 
     def add_rows(self, rows) -> np.ndarray:
         r = np.asarray(rows, dtype=np.int64)
-        return (r[:, None] + self._all) % self.n
+        return (r[:, None] + np.arange(self.n, dtype=np.int64)) % self.n
 
     def element(self, i: int):
         return int(i)
@@ -345,7 +362,7 @@ class _BivarModel(_VectorModel):
 
 class _QuotModel(_ZeroPatternKeys):
     def __init__(self, spec: QuotientRing):
-        base = _model(spec.base)
+        base = ring_table(spec.base).model
         if base.size > SCAN_LIMIT:
             raise RingTooLarge(f"quotient base has {base.size} elements, above {SCAN_LIMIT}")
         ideal = _ideal_indices(base, spec.ideal_gen_indices)
@@ -382,8 +399,7 @@ class _QuotModel(_ZeroPatternKeys):
         return int(self.coset_id[self.base.index(x)])
 
 
-@lru_cache(maxsize=None)
-def _model(spec):
+def _build_model(spec):
     if isinstance(spec, IntegersMod):
         return _IntModel(spec.n)
     if isinstance(spec, PolyQuotient):
@@ -446,27 +462,20 @@ def _ideal_indices(model, gen_indices) -> np.ndarray:
 # --- annihilator scan -------------------------------------------------------
 
 
-class _Group:
-    __slots__ = ("first", "members", "mask", "ann_count")
-
-    def __init__(self, first: int, mask: bytes, ann_count: int):
-        self.first = first
-        self.members: list[int] = []
-        self.mask = mask
-        self.ann_count = ann_count
+class _Group(NamedTuple):
+    first: int
+    members: np.ndarray  # a read-only slice of one buffer shared by the scan
+    mask: bytes
+    ann_count: int
 
 
-class _Scan:
-    __slots__ = ("class_ids", "groups", "zd_gids")
-
-    def __init__(self, class_ids, groups, zd_gids):
-        self.class_ids = class_ids
-        self.groups = groups
-        self.zd_gids = zd_gids
+class _Scan(NamedTuple):
+    class_ids: np.ndarray  # read-only
+    groups: tuple[_Group, ...]
+    zd_gids: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def _scan(spec) -> _Scan:
+def _annihilator_scan(model) -> _Scan:
     """Group every element by its exact annihilator set.
 
     Each model keys its elements so that two keys agree exactly when the
@@ -476,9 +485,10 @@ def _scan(spec) -> _Scan:
     _VectorModel.scan_keys).  Group ids follow first appearance in
     enumeration order, which makes everything downstream deterministic.
     Each group's annihilator mask comes from one table row of its first
-    member, checked against the size the key predicted.
+    member, checked against the size the key predicted.  The members of
+    every group are slices of one int32 buffer: the elements sorted by
+    group id.
     """
-    model = _model(spec)
     n = model.size
     if n > SCAN_LIMIT:
         raise RingTooLarge(f"annihilator scan needs at most {SCAN_LIMIT} elements, ring has {n}")
@@ -500,27 +510,127 @@ def _scan(spec) -> _Scan:
                 ann_counts.append(int(counts[first[u]]))
             local[u] = gid
         class_ids[start : start + len(keys)] = local[inverse.ravel()]
-    groups: list[_Group] = []
+    masks: list[bytes] = []
     for start in range(0, len(firsts), model.row_block):
         reps = firsts[start : start + model.row_block]
         zero = model.mul_rows(reps) == 0
         packed = np.packbits(zero, axis=1)
         for offset, popcount in enumerate(zero.sum(axis=1)):
-            gid = start + offset
-            if popcount != ann_counts[gid]:
+            if popcount != ann_counts[start + offset]:
                 raise AssertionError(
                     f"internal error: element {reps[offset]} annihilates {popcount} "
-                    f"elements, its scan key predicted {ann_counts[gid]}"
+                    f"elements, its scan key predicted {ann_counts[start + offset]}"
                 )
-            groups.append(_Group(reps[offset], packed[offset].tobytes(), ann_counts[gid]))
-    by_class = np.argsort(class_ids, kind="stable")
-    ends = np.cumsum(np.bincount(class_ids, minlength=len(groups)))
-    for g, members in zip(groups, np.split(by_class, ends[:-1])):
-        g.members = members.tolist()
-    zd_gids = tuple(
-        gid for gid, g in enumerate(groups) if g.ann_count >= 2 and g.first != 0
-    )
+            masks.append(packed[offset].tobytes())
+    by_class = np.argsort(class_ids, kind="stable").astype(np.int32)
+    by_class.flags.writeable = False
+    class_ids.flags.writeable = False
+    ends = np.cumsum(np.bincount(class_ids, minlength=len(firsts)))
+    groups = tuple(map(_Group, firsts, np.split(by_class, ends[:-1]), masks, ann_counts))
+    zd_gids = tuple(gid for gid, g in enumerate(groups) if g.ann_count >= 2 and g.first != 0)
     return _Scan(class_ids, groups, zd_gids)
+
+
+# --- the ring table ---------------------------------------------------------
+
+
+class RingTable:
+    """What the oracle derives from one ring spec, each part built once.
+
+    model: the index arithmetic of the ring (size, mul_rows, element, index).
+    scan: the annihilator scan, built on first use: class_ids[i] is the
+      group of element i; groups[g] has fields first (the least member),
+      members, mask (packed annihilator bits) and ann_count; zd_gids lists
+      the groups of nonzero zero-divisors.
+    keep(build): build(spec) once for a caller that reuses what it builds.
+
+    Tables come from ring_table(spec) and may be shared by every caller,
+    so nothing reached from a table may be mutated: the scan is tuples and
+    read-only arrays, and keep() must get an immutable value.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.model = _build_model(spec)
+        self.nbytes = _nbytes(self.model)
+        self._scan: _Scan | None = None
+        self._kept: dict = {}
+
+    @property
+    def scan(self) -> _Scan:
+        if self._scan is None:
+            self._scan = _annihilator_scan(self.model)
+            _TABLES.charge(self, _nbytes(self._scan))
+        return self._scan
+
+    def keep(self, build):
+        """build(spec), computed once per table; what it returns is charged
+        to the table cache and must never be mutated."""
+        if build not in self._kept:
+            self._kept[build] = build(self.spec)
+            _TABLES.charge(self, _nbytes(self._kept[build]))
+        return self._kept[build]
+
+
+class _TableCache:
+    """Least-recently-used ring tables whose charged bytes stay within
+    TABLE_BUDGET; a table that alone exceeds it is handed out uncached."""
+
+    def __init__(self):
+        self.tables: OrderedDict = OrderedDict()
+        self.charged = 0
+
+    def get(self, spec) -> RingTable:
+        table = self.tables.get(spec)
+        if table is not None:
+            self.tables.move_to_end(spec)
+            return table
+        table = RingTable(spec)
+        self.tables[spec] = table
+        self.charged += table.nbytes
+        self._evict()
+        return table
+
+    def charge(self, table: RingTable, nbytes: int) -> None:
+        table.nbytes += nbytes
+        if self.tables.get(table.spec) is table:
+            self.charged += nbytes
+            self._evict()
+
+    def _evict(self) -> None:
+        while self.charged > TABLE_BUDGET:
+            _, table = self.tables.popitem(last=False)
+            self.charged -= table.nbytes
+
+
+_TABLES = _TableCache()
+
+
+def ring_table(spec) -> RingTable:
+    """The ring table of spec, from the cache while it stays there."""
+    return _TABLES.get(spec)
+
+
+def _nbytes(obj) -> int:
+    """Bytes held by obj and by everything it references, each object
+    counted once; an array view counts its base."""
+    seen, total, stack = set(), 0, [obj]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, (tuple, list)):
+            stack += obj
+        elif isinstance(obj, np.ndarray):
+            if obj.base is not None:
+                stack.append(obj.base)
+        elif isinstance(obj, dict):
+            stack += obj.values()  # the keys are attribute names
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return total
 
 
 # --- public oracle operations -----------------------------------------------
@@ -539,7 +649,7 @@ class AnnihilatorClass:
 
 def enumerate_elements(spec) -> list:
     """All canonical residues, in a fixed order starting 0, 1."""
-    model = _model(spec)
+    model = ring_table(spec).model
     if model.size > ENUMERATION_LIMIT:
         raise RingTooLarge(f"ring has {model.size} elements, above {ENUMERATION_LIMIT}")
     return [model.element(i) for i in range(model.size)]
@@ -552,15 +662,15 @@ def _mask_indices(mask: bytes, n: int) -> np.ndarray:
 
 def annihilator(spec, r) -> list:
     """Every x with r*x = 0, in enumeration order."""
-    model = _model(spec)
+    model = ring_table(spec).model
     row = model.mul_rows([model.index(r)])[0]
     return [model.element(int(i)) for i in np.flatnonzero(row == 0)]
 
 
 def zero_divisor_classes(spec) -> list[AnnihilatorClass]:
     """Annihilator classes of the nonzero zero-divisors, by first appearance."""
-    scan = _scan(spec)
-    model = _model(spec)
+    ring = ring_table(spec)
+    scan, model = ring.scan, ring.model
     out = []
     for gid in scan.zd_gids:
         g = scan.groups[gid]
@@ -582,8 +692,8 @@ def zero_divisor_classes(spec) -> list[AnnihilatorClass]:
 def oracle_compressed_graph(spec, loops: bool) -> CompressedGraph:
     """Gamma_C(R) by brute force: one vertex per annihilator class, adjacency
     decided by multiplying class representatives."""
-    scan = _scan(spec)
-    model = _model(spec)
+    ring = ring_table(spec)
+    scan, model = ring.scan, ring.model
     reps = [scan.groups[gid].first for gid in scan.zd_gids]
     table = model.mul_rows(reps)[:, reps] == 0 if reps else np.zeros((0, 0), dtype=bool)
     verts = []
@@ -607,13 +717,14 @@ def oracle_compressed_graph(spec, loops: bool) -> CompressedGraph:
 
 def full_zero_divisor_graph(spec) -> Graph:
     """Gamma(R): simple graph on the nonzero zero-divisors."""
-    model = _model(spec)
+    ring = ring_table(spec)
+    model = ring.model
     if model.size > FULL_GRAPH_LIMIT:
         raise RingTooLarge(f"full graph needs at most {FULL_GRAPH_LIMIT} elements, ring has {model.size}")
-    scan = _scan(spec)
-    zd = np.asarray(
-        sorted(m for gid in scan.zd_gids for m in scan.groups[gid].members), dtype=np.int64
-    )
+    scan = ring.scan
+    is_zd = np.zeros(len(scan.groups), dtype=bool)
+    is_zd[list(scan.zd_gids)] = True
+    zd = np.flatnonzero(is_zd[scan.class_ids])
     labels = tuple(element_label(spec, model.element(int(i))) for i in zd)
     edges = []
     block = model.row_block
@@ -628,14 +739,14 @@ def full_zero_divisor_graph(spec) -> Graph:
 
 def count_regular_elements(spec) -> int:
     """|R - Z(R)|: elements that are not nonzero zero-divisors (units and 0)."""
-    scan = _scan(spec)
-    zd_total = sum(len(scan.groups[gid].members) for gid in scan.zd_gids)
-    return _model(spec).size - zd_total
+    ring = ring_table(spec)
+    zd_total = sum(len(ring.scan.groups[gid].members) for gid in ring.scan.zd_gids)
+    return ring.model.size - zd_total
 
 
 def ideal_members(spec, gens: list) -> list:
     """All elements of the ideal generated by gens, in enumeration order."""
-    model = _model(spec)
+    model = ring_table(spec).model
     if model.size > SCAN_LIMIT:
         raise RingTooLarge(f"ideal enumeration needs at most {SCAN_LIMIT} elements")
     idx = _ideal_indices(model, [model.index(g) for g in gens])
@@ -645,7 +756,7 @@ def ideal_members(spec, gens: list) -> list:
 def ideal_is_union(spec, ideal_gens: list, union_candidates: list) -> bool:
     """Whether the ideal generated by ideal_gens equals the union of the
     principal ideals of the candidates, by exhaustive membership."""
-    model = _model(spec)
+    model = ring_table(spec).model
     if model.size > SCAN_LIMIT:
         raise RingTooLarge(f"ideal comparison needs at most {SCAN_LIMIT} elements")
     ideal = _ideal_indices(model, [model.index(g) for g in ideal_gens])
@@ -661,19 +772,19 @@ def quotient_by_ideal(spec, gens: list) -> QuotientRing:
 
     Builds the quotient model here, so an ideal that is the whole ring raises
     ValueError now rather than at the first use of the quotient."""
-    model = _model(spec)
+    model = ring_table(spec).model
     quotient = QuotientRing(spec, tuple(model.index(g) for g in gens))
-    _model(quotient)
+    ring_table(quotient)
     return quotient
 
 
 def mul_elements(spec, a, b):
-    model = _model(spec)
+    model = ring_table(spec).model
     return model.element(int(model.mul_rows([model.index(a)])[0][model.index(b)]))
 
 
 def add_elements(spec, a, b):
-    model = _model(spec)
+    model = ring_table(spec).model
     return model.element(int(model.add_rows([model.index(a)])[0][model.index(b)]))
 
 
@@ -778,7 +889,7 @@ def element_label(spec, x) -> str:
 def parse_element(spec, text: str):
     """Inverse of element_label, tolerant of unreduced input."""
     if isinstance(spec, QuotientRing):
-        model = _model(spec)
+        model = ring_table(spec).model
         return model.element(model.index(parse_element(spec.base, text)))
     if isinstance(spec, IntegersMod):
         try:
@@ -848,7 +959,7 @@ def format_ring_spec(spec) -> str:
     if isinstance(spec, BivariateMonomialQuotient):
         return f"F{spec.p}[x,y]/({','.join(format_monomial(g) for g in spec.generators)})"
     if isinstance(spec, QuotientRing):
-        model = _model(spec)
+        model = ring_table(spec).model
         gens = ",".join(
             element_label(spec.base, model.base.element(i)) for i in spec.ideal_gen_indices
         )

@@ -25,11 +25,10 @@ from .compressed_graph import (
 from .finite_ring import (
     IntegersMod,
     PolyQuotient,
-    _model,
-    _scan,
     element_label,
     full_zero_divisor_graph,
     oracle_compressed_graph,
+    ring_table,
     zero_divisor_classes,
 )
 from .isomorphism import graphs_isomorphic
@@ -124,7 +123,7 @@ def gcd_theorem_sweep(max_n: int = 500) -> SweepOutcome:
     checked = 0
     for n in range(2, max_n + 1):
         fact = factor_integer(n)
-        ids = _scan(IntegersMod(n)).class_ids
+        ids = ring_table(IntegersMod(n)).scan.class_ids
         for a in range(n):
             rep = gcd_class_representative(a, fact)
             recon = 0 if rep is ZERO_CLASS else fact.divisor(rep) % n
@@ -161,8 +160,8 @@ def _blowup_object_check(spec, failures, tag):
 
 
 def _blowup_matrix_check(spec, failures, tag):
-    scan = _scan(spec)
-    model = _model(spec)
+    table = ring_table(spec)
+    scan, model = table.scan, table.model
     if not scan.zd_gids:
         return
     gid_to_row = {gid: i for i, gid in enumerate(scan.zd_gids)}
@@ -171,7 +170,7 @@ def _blowup_matrix_check(spec, failures, tag):
     zds = np.flatnonzero(np.isin(scan.class_ids, list(scan.zd_gids)))
     rows_of = np.full(model.size, -1, dtype=np.int64)
     for gid, row in gid_to_row.items():
-        rows_of[np.array(scan.groups[gid].members, dtype=np.int64)] = row
+        rows_of[scan.groups[gid].members] = row
     cid = rows_of[zds]
     block = max(1, model.row_block)
     for start in range(0, len(zds), block):
@@ -213,16 +212,12 @@ def nz_lemma_sweep(specs) -> SweepOutcome:
     failures: list[str] = []
     checked = 0
     for spec in specs:
-        scan = _scan(spec)
-        model = _model(spec)
+        table = ring_table(spec)
+        scan, model = table.scan, table.model
         ids = scan.class_ids
         units = np.concatenate(
-            [
-                np.array(g.members, dtype=np.int64)
-                for g in scan.groups
-                if g.ann_count == 1
-            ]
-            or [np.array([], dtype=np.int64)]
+            [g.members for g in scan.groups if g.ann_count == 1]
+            or [np.array([], dtype=np.int32)]
         )
         block = max(1, model.row_block)
         ok = True

@@ -11,6 +11,7 @@ from zdgraph.arithmetic import (
     Factorization,
     FpPoly,
     Irreducible,
+    UncertifiedPrime,
     factor_integer,
     factor_polynomial,
     format_poly_compact,
@@ -63,6 +64,12 @@ class TestIsPrime:
         assert not is_prime(3825123056546413051)  # strong pseudoprime to bases 2..23
         assert not is_prime(318665857834031151167461)  # strong pseudoprime to bases 2..37
         assert not is_prime((2**61 - 1) * (2**89 - 1))  # past the deterministic bound
+
+    @pytest.mark.parametrize("check", [is_prime, factor_integer, lambda n: FpPoly(n, (1,))])
+    def test_probable_prime_past_the_bound_is_not_reported_prime(self, check):
+        with pytest.raises(UncertifiedPrime) as info:
+            check(2**89 - 1)
+        assert info.value.n == 2**89 - 1
 
 
 class TestFactorInteger:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -119,6 +120,20 @@ class TestErrors:
         code, _, err = invoke(capsys, "graph", "Z/20001")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "ring", ["Z/618970019642690137449562111", "F618970019642690137449562111[x]/(x^2)"]
+    )
+    def test_uncertified_prime_exits_2_at_once(self, capsys, ring):
+        # 2^89 - 1 is prime, but above the bound where Miller-Rabin is a proof
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "compress", ring)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 618970019642690137449562111 is a probable prime above "
+            "3317044064679887385961981; its primality cannot be certified\n"
+        )
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert run([]) == 2

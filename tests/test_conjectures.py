@@ -5,11 +5,14 @@ isomorphism search and then frozen; the Z/8-versus-Z/6 analysis is the known
 counterexample family for conjecture 1.
 """
 
+import io
 import json
+import random
 
 import pytest
 
 from zdgraph.arithmetic import FpPoly, factor_polynomial, format_poly_pretty
+from zdgraph.cli import run
 from zdgraph.compressed_graph import zero_divisor_basis
 from zdgraph.conjectures import (
     ConjectureReport,
@@ -29,6 +32,7 @@ from zdgraph.finite_ring import (
     PolyQuotient,
     element_label,
     parse_element,
+    parse_ring_spec,
 )
 
 
@@ -177,7 +181,7 @@ class TestConjecture2:
     def test_unit_generator_skips(self):
         report = check_conjecture2(IntegersMod(48), [1])
         assert report.verdict == "skipped"
-        assert "unit" in report.details["reason"]
+        assert report.details["reason"] == TestUnitGenerator.WHOLE_RING
 
 
 class TestConjecture3:
@@ -284,12 +288,14 @@ class TestConjecture4:
 
 
 class TestUnitGenerator:
-    """A unit generator other than 1 makes the ideal the whole ring."""
+    """A unit generator makes the ideal the whole ring, whether it is 1 or not."""
 
     WHOLE_RING = "ideal is the whole ring; the quotient would be the zero ring"
 
     @pytest.mark.parametrize("check", [check_conjecture2, check_conjecture3])
-    @pytest.mark.parametrize("line", ["Z/20 | 7", "F2[x]/(x^3+x+1) | x+1"])
+    @pytest.mark.parametrize(
+        "line", ["Z/20 | 7", "F2[x]/(x^3+x+1) | x+1", "Z/12 | 1", "F2[x]/(x^3) | 1"]
+    )
     def test_conjectures_2_and_3_skip(self, check, line):
         report = check(*parse_instance_line(2, line))
         assert report.verdict == "skipped"
@@ -297,12 +303,56 @@ class TestUnitGenerator:
 
     @pytest.mark.parametrize(
         "line, side",
-        [("Z/20 | 7 | Z/8 | 4", 1), ("Z/8 | 4 | F2[x]/(x^3+x+1) | x+1", 2)],
+        [
+            ("Z/20 | 7 | Z/8 | 4", 1),
+            ("Z/8 | 4 | F2[x]/(x^3+x+1) | x+1", 2),
+            ("Z/12 | 1 | Z/8 | 4", 1),
+            ("Z/8 | 4 | F2[x]/(x^3) | 1", 2),
+        ],
     )
     def test_conjecture4_names_the_side(self, line, side):
         report = check_conjecture4(*parse_instance_line(4, line))
         assert report.verdict == "skipped"
         assert report.details["reason"] == f"side {side}: {self.WHOLE_RING}"
+
+
+class TestRingTable:
+    """Conjecture 1 keeps each ring's graphs and digests in its ring table."""
+
+    RINGS = ("Z/6", "Z/8", "Z/9", "Z/12", "Z/16", "Z/27", "F2[x]/(x^4)", "F3[x]/(x^2)",
+             "F2[x]/(x^3+x^2)", "F2[x,y]/(x^2,y^2)")
+
+    @pytest.mark.parametrize("budget", [10**7, 1])
+    def test_reports_identical_cold_and_warm(self, fresh_tables, budget):
+        specs = [parse_ring_spec(r) for r in self.RINGS]
+        pairs = [(a, b) for i, a in enumerate(specs) for b in specs[i + 1 :]]
+        random.Random(6).shuffle(pairs)
+        fresh_tables()
+        cold_reports = [check_conjecture1(a, b, budget=budget) for a, b in pairs]
+        cold = [report_to_json(r) for r in cold_reports]
+        assert len(set(r.verdict for r in cold_reports)) >= 2
+        for report in cold_reports:  # a caller may edit what it gets back
+            for value in report.details.values():
+                if isinstance(value, list):
+                    value.append("edited")
+        warm = [report_to_json(check_conjecture1(a, b, budget=budget)) for a, b in pairs]
+        assert warm == cold
+        fresh_tables()
+        alone = [report_to_json(check_conjecture1(a, b, budget=budget)) for a, b in pairs[::-1]]
+        assert alone[::-1] == cold
+
+    def test_small_budget_keeps_scan_output(self, fresh_tables, tmp_path):
+        def scan():
+            out, report = io.StringIO(), tmp_path / "report.jsonl"
+            argv = ["conjecture", "1", "--max-n", "12", "--report", str(report)]
+            assert run(argv, out=out) == 0
+            return out.getvalue() + report.read_text()
+
+        fresh_tables()
+        roomy = scan()
+        cache = fresh_tables(budget=4000)
+        assert scan() == roomy
+        assert 0 < max(cache.charged_after) <= 4000
 
 
 class TestScans:

@@ -5,12 +5,15 @@ Python loops so the vectorized implementation has something independent to
 answer to.
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from zdgraph.arithmetic import FpPoly
+from zdgraph.cli import run
 from zdgraph.finite_ring import (
     ENUMERATION_LIMIT,
     BivariateMonomialQuotient,
@@ -36,10 +39,10 @@ from zdgraph.finite_ring import (
     parse_ring_spec,
     quotient_by_ideal,
     ring_size,
+    ring_table,
     standard_monomials,
     zero_divisor_classes,
 )
-from zdgraph.finite_ring import _model, _scan
 
 F2XY = BivariateMonomialQuotient(2, ((2, 0), (0, 2)))
 
@@ -218,7 +221,7 @@ def reference_scan(spec):
     """Group elements by the zero pattern of their full multiplication-table
     row, by first appearance: class ids, (first, members, ann_count, mask)
     per group, and the ids of the nonzero zero-divisor groups."""
-    model = _model(spec)
+    model = ring_table(spec).model
     n = model.size
     class_ids, groups, gid_of = [], [], {}
     for start in range(0, n, model.row_block):
@@ -235,10 +238,10 @@ def reference_scan(spec):
 
 
 def assert_scan_matches_reference(spec):
-    scan = _scan(spec)
+    scan = ring_table(spec).scan
     class_ids, groups, zd_gids = reference_scan(spec)
     assert scan.class_ids.tolist() == class_ids
-    assert [(g.first, g.members, g.ann_count, g.mask) for g in scan.groups] == groups
+    assert [(g.first, g.members.tolist(), g.ann_count, g.mask) for g in scan.groups] == groups
     assert scan.zd_gids == zd_gids
 
 
@@ -261,6 +264,40 @@ def bivariate_quotients(draw):
     gens = {(len(heights), 0), (0, heights[0])}
     gens |= {(a, heights[a]) for a in range(1, len(heights)) if heights[a] < heights[a - 1]}
     return BivariateMonomialQuotient(p, tuple(gens))
+
+
+class TestRingTable:
+    def test_scans_match_reference(self):
+        specs = [IntegersMod(n) for n in range(2, 201)]
+        specs.append(PolyQuotient(2, FpPoly(2, (0,) * 10 + (1,))))
+        specs.append(quotient_by_ideal(F2XY, [parse_element(F2XY, "x*y")]))
+        for spec in specs:
+            assert_scan_matches_reference(spec)
+
+    def test_cached_scans_are_read_only(self):
+        scan = ring_table(IntegersMod(12)).scan
+        assert ring_table(IntegersMod(12)).scan is scan
+        for array in (scan.class_ids, scan.groups[1].members):
+            with pytest.raises(ValueError):
+                array[0] = 5
+
+    def test_small_budget_keeps_verify_output(self, fresh_tables):
+        fresh_tables()
+        roomy = io.StringIO()
+        assert run(["verify", "--max-n", "60"], out=roomy) == 0
+        cache = fresh_tables(budget=20000)
+        tight = io.StringIO()
+        assert run(["verify", "--max-n", "60"], out=tight) == 0
+        assert tight.getvalue() == roomy.getvalue()
+        assert 0 < max(cache.charged_after) <= 20000
+        assert 0 < len(cache.tables) < 10
+
+    def test_table_above_the_budget_stays_uncached(self, fresh_tables):
+        cache = fresh_tables(budget=1)
+        table = ring_table(IntegersMod(12))
+        assert table.nbytes > 1
+        assert count_regular_elements(IntegersMod(12)) == 5
+        assert (cache.tables, cache.charged) == ({}, 0)
 
 
 class TestLinearScan:
