@@ -18,7 +18,6 @@ from collections import Counter
 from .arithmetic import UncertifiedPrime, factor_integer, factor_polynomial
 from .compressed_graph import graph_from_factorization, to_dot, to_json
 from .conjectures import (
-    DEFAULT_BUDGET,
     check_conjecture1,
     check_conjecture2,
     check_conjecture3,
@@ -36,7 +35,7 @@ from .finite_ring import (
     oracle_compressed_graph,
     parse_ring_spec,
 )
-from .isomorphism import SearchBudgetExceeded, graphs_isomorphic
+from .isomorphism import DEFAULT_BUDGET, SearchBudgetExceeded, graphs_isomorphic
 from .sweeps import blowup_sweep, gcd_theorem_sweep, oracle_equivalence_sweep
 
 

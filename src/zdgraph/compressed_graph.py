@@ -15,7 +15,7 @@ factorizations, and the two routes are compared in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product as _cartesian
 
 from .arithmetic import (
@@ -108,6 +108,13 @@ class CompressedGraph:
         object.__setattr__(self, "vertices", tuple(verts[i] for i in order))
         object.__setattr__(self, "edges", edges)
 
+    def relabel(self, labels) -> CompressedGraph:
+        """This graph with vertex i renamed labels[i], in canonical form;
+        metadata, loop flags and edges carry over."""
+        _check_relabel(self.vertices, labels)
+        verts = tuple(replace(v, label=s) for v, s in zip(self.vertices, labels))
+        return CompressedGraph(verts, self.edges, self.loops_admitted)
+
     @property
     def loop_count(self) -> int:
         return sum(1 for v in self.vertices if v.loop)
@@ -136,6 +143,11 @@ class Graph:
         object.__setattr__(self, "labels", tuple(labels[i] for i in order))
         object.__setattr__(self, "edges", edges)
 
+    def relabel(self, labels) -> Graph:
+        """This graph with vertex i renamed labels[i], in canonical form."""
+        _check_relabel(self.labels, labels)
+        return Graph(tuple(labels), self.edges)
+
     def as_compressed(self) -> CompressedGraph:
         """View as a loop-free CompressedGraph (for the isomorphism search)."""
         return CompressedGraph(tuple(Vertex(s) for s in self.labels), self.edges, False)
@@ -146,6 +158,11 @@ class Graph:
 
     def to_dot(self) -> str:
         return _dot("zero_divisor_graph", [Vertex(s) for s in self.labels], self.edges)
+
+
+def _check_relabel(vertices, labels) -> None:
+    if len(labels) != len(vertices):
+        raise ValueError(f"relabel needs {len(vertices)} labels, got {len(labels)}")
 
 
 def _canonical(labels, edges, self_edge_error: str):

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 
 from .arithmetic import (
     FpPoly,
@@ -29,7 +29,7 @@ from .arithmetic import (
     format_poly_pretty,
     poly_gcd,
 )
-from .compressed_graph import CompressedGraph, graph_from_exponents, to_json as graph_json
+from .compressed_graph import CompressedGraph, Vertex, graph_from_exponents, to_json as graph_json
 from .finite_ring import (
     SCAN_LIMIT,
     BivariateMonomialQuotient,
@@ -51,9 +51,8 @@ from .finite_ring import (
     standard_monomials,
     zero_divisor_classes,
 )
-from .isomorphism import SearchBudgetExceeded, graphs_isomorphic
+from .isomorphism import DEFAULT_BUDGET, SearchBudgetExceeded, graphs_isomorphic
 
-DEFAULT_BUDGET = 10**7
 SAMPLE_LIMIT = 5000
 _TRUNCATION = "window truncation artifact; ambient hypothesis unmet"
 
@@ -482,47 +481,50 @@ def check_conjecture3(ambient, union_gens) -> ConjectureReport:
             found[cls] = tuple(v + b for v, b in zip(vec, bvec))
             queue.append((found[cls], nimg, length + 1))
 
+    # the predicted graph, built in the oracle's labels
     label_of = {
         gid: element_label(quotient, qmodel.element(scan.groups[gid].first))
         for gid in scan.zd_gids
     }
-    predicted_vertices = sorted(found)
-    predicted_edges = {
-        (c1, c2)
-        for i, c1 in enumerate(predicted_vertices)
-        for c2 in predicted_vertices[i + 1 :]
-        if inst.divides_some_gen(tuple(a + b for a, b in zip(found[c1], found[c2])))
-    }
-    predicted_loops = {
-        c for c in predicted_vertices
-        if inst.divides_some_gen(tuple(2 * v for v in found[c]))
-    }
-
+    classes = sorted(found)
+    names = [label_of[c] for c in classes]
+    vecs = [found[c] for c in classes]
+    predicted = CompressedGraph(
+        tuple(
+            Vertex(name, loop=inst.divides_some_gen(tuple(2 * x for x in vec)))
+            for name, vec in zip(names, vecs)
+        ),
+        tuple(
+            (i, j)
+            for (i, v), (j, w) in combinations(enumerate(vecs), 2)
+            if inst.divides_some_gen(tuple(a + b for a, b in zip(v, w)))
+        ),
+        loops_admitted=True,
+    )
     oracle = oracle_compressed_graph(quotient, loops=True)
-    gid_of = {label: gid for gid, label in label_of.items()}
-    o_gids = [gid_of[v.label] for v in oracle.vertices]
-    o_vertices = sorted(o_gids)
-    o_edges = {tuple(sorted((o_gids[i], o_gids[j]))) for i, j in oracle.edges}
-    o_loops = {gid for gid, v in zip(o_gids, oracle.vertices) if v.loop}
+
+    def looped(g):
+        return {v.label for v in g.vertices if v.loop}
 
     details["oracle_graph_digest"] = _digest(oracle)
-    details["predicted_vertices"] = [label_of.get(c, "?") for c in predicted_vertices]
-    details["loops_agree"] = predicted_loops == o_loops
+    details["predicted_vertices"] = names
+    details["loops_agree"] = looped(predicted) == looped(oracle)
 
     mismatch = None
-    if predicted_vertices != o_vertices:
+    labels = [v.label for v in oracle.vertices]
+    if [v.label for v in predicted.vertices] != labels:
         mismatch = "vertex sets differ"
-        missing = [label_of[c] for c in o_vertices if c not in found]
-        extra = [label_of.get(c, "?") for c in predicted_vertices if c not in o_vertices]
+        # both lists in class order, as predicted_vertices is
+        in_oracle = set(labels)
+        missing = [s for c, s in label_of.items() if s in in_oracle and c not in found]
+        extra = [s for s in names if s not in in_oracle]
         details["witness"] = {"missing_from_prediction": missing, "extra_in_prediction": extra}
-    elif predicted_edges != o_edges:
+    elif predicted.edges != oracle.edges:
         mismatch = "edge sets differ"
-        diff = predicted_edges.symmetric_difference(o_edges)
-        details["witness"] = sorted(
-            sorted(label_of[c] for c in pair) for pair in diff
-        )[:5]
+        diff = set(predicted.edges).symmetric_difference(oracle.edges)
+        details["witness"] = sorted([labels[i], labels[j]] for i, j in diff)[:5]
     if mismatch is None:
-        details["checked_edges"] = len(o_edges)
+        details["checked_edges"] = len(oracle.edges)
         return ConjectureReport(3, instance, "supported", details)
     details["mismatch"] = mismatch
     if exact:
@@ -603,39 +605,30 @@ def check_conjecture4(
     details["windows_exact"] = [exact1, exact2]
 
     if exact1 and exact2:
+        details["layer"] = "oracle graphs"
         g1 = oracle_compressed_graph(quotient1, loops=True)
         g2 = oracle_compressed_graph(quotient2, loops=True)
-        details["layer"] = "oracle graphs"
-        details["graph_digests"] = [_digest(g1), _digest(g2)]
-        try:
-            report = graphs_isomorphic(g1, g2, budget=budget)
-        except SearchBudgetExceeded:
-            return _skip(4, instance, details, "isomorphism search exceeded the node budget")
-        if report.isomorphic:
-            return ConjectureReport(4, instance, "supported", details)
-        details["witness_graphs"] = [
-            json.loads(graph_json(g1)),
-            json.loads(graph_json(g2)),
-        ]
-        details["separating"] = report.separating
-        return ConjectureReport(4, instance, "counterexample", details)
-
-    if len(union_gens1) == 1 and len(union_gens2) == 1:
-        p1 = graph_from_exponents(rows1[0], loops=True)
-        p2 = graph_from_exponents(rows2[0], loops=True)
+    elif len(union_gens1) == 1 and len(union_gens2) == 1:
         details["layer"] = "predicted graphs (windows not exact)"
-        details["graph_digests"] = [_digest(p1), _digest(p2)]
-        report = graphs_isomorphic(p1, p2, budget=budget)
-        if report.isomorphic:
-            return ConjectureReport(4, instance, "supported", details)
-        details["separating"] = report.separating
-        return ConjectureReport(4, instance, "counterexample", details)
-
-    reason = (
-        "window truncation prevents the oracle layer and no predicted "
-        "construction exists for multi-generator ideals"
-    )
-    return _skip(4, instance, details, reason)
+        g1 = graph_from_exponents(rows1[0], loops=True)
+        g2 = graph_from_exponents(rows2[0], loops=True)
+    else:
+        reason = (
+            "window truncation prevents the oracle layer and no predicted "
+            "construction exists for multi-generator ideals"
+        )
+        return _skip(4, instance, details, reason)
+    details["graph_digests"] = [_digest(g1), _digest(g2)]
+    try:
+        report = graphs_isomorphic(g1, g2, budget=budget)
+    except SearchBudgetExceeded:
+        return _skip(4, instance, details, "isomorphism search exceeded the node budget")
+    if report.isomorphic:
+        return ConjectureReport(4, instance, "supported", details)
+    if exact1 and exact2:
+        details["witness_graphs"] = [json.loads(graph_json(g)) for g in (g1, g2)]
+    details["separating"] = report.separating
+    return ConjectureReport(4, instance, "counterexample", details)
 
 
 # --- instance families and scan drivers ---------------------------------------

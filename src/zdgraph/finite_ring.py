@@ -53,7 +53,6 @@ __all__ = [
     "ENUMERATION_LIMIT",
     "FULL_GRAPH_LIMIT",
     "SCAN_LIMIT",
-    "EXHAUSTIVE_LIMIT",
     "TABLE_BUDGET",
     "GrammarError",
     "RingTooLarge",
@@ -88,7 +87,6 @@ __all__ = [
 ENUMERATION_LIMIT = 10**6
 FULL_GRAPH_LIMIT = 10**4
 SCAN_LIMIT = 20000
-EXHAUSTIVE_LIMIT = 2000
 # Bytes that the cached ring tables may hold together (see RingTable).
 TABLE_BUDGET = 64 * 2**20
 

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from .compressed_graph import CompressedGraph, signature
 
+# Search nodes allowed per isomorphism query unless the caller gives a budget.
+DEFAULT_BUDGET = 10**7
+
 
 class SearchBudgetExceeded(RuntimeError):
     """Raised when the node budget runs out before the search completes."""
@@ -98,7 +101,7 @@ def graphs_isomorphic(
     g2: CompressedGraph,
     respect_loops: bool = True,
     respect_sizes: bool = False,
-    budget: int = 10**7,
+    budget: int = DEFAULT_BUDGET,
 ) -> IsoReport:
     """Decide whether g1 and g2 are isomorphic.
 

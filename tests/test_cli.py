@@ -257,6 +257,23 @@ class TestConjecture:
         assert code == 0
         assert out.splitlines()[-1] == "checked 6: 4 supported, 0 counterexample, 2 skipped"
 
+    def test_conjecture4_budget_in_predicted_layer_skips(self, capsys, tmp_path):
+        instances = tmp_path / "instances.txt"
+        instances.write_text("F2[x,y]/(x^3,y^3) | x^2*y | F2[x,y]/(x^3,y^3) | x*y^2\n")
+        report_path = tmp_path / "reports.jsonl"
+        code, out, err = invoke(
+            capsys, "conjecture", "4", "--instances", str(instances), "--budget", "1",
+            "--report", str(report_path),
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "skipped         F2[x,y]/(x^3,y^3) | x^2*y | F2[x,y]/(x^3,y^3) | x*y^2",
+            "checked 1: 0 supported, 0 counterexample, 1 skipped",
+        ]
+        details = json.loads(report_path.read_text())["details"]
+        assert details["layer"] == "predicted graphs (windows not exact)"
+        assert details["reason"] == "isomorphism search exceeded the node budget"
+
     def test_counterexamples_still_exit_0(self, capsys):
         code, out, _ = invoke(capsys, "conjecture", "1", "--max-n", "8")
         assert code == 0

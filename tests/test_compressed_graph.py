@@ -298,6 +298,26 @@ class TestCanonicalForm:
         assert g.labels == ("a", "b")
         assert g.edges == ((0, 1),)
 
+    def test_relabel_moves_metadata_with_the_vertex(self):
+        g = graph_from_factorization(factor_integer(12), loops=True)  # 2, 3, 4, 6
+        r = g.relabel(["d", "c", "b", "a"])
+        assert [v.label for v in r.vertices] == ["a", "b", "c", "d"]
+        assert [v.exponents for v in r.vertices] == [(1, 1), (2, 0), (0, 1), (1, 0)]
+        assert [v.loop for v in r.vertices] == [True, False, False, False]
+        assert r.edges == ((0, 1), (0, 3), (1, 2))  # 6--4, 6--2, 4--3
+        assert r.loops_admitted and r.relabel(["6", "4", "3", "2"]) == g
+
+    def test_graph_relabel(self):
+        g = Graph(("a", "b", "c"), ((0, 1),))
+        assert g.relabel(["z", "y", "x"]) == Graph(("x", "y", "z"), ((1, 2),))
+
+    @pytest.mark.parametrize("labels", [["a", "a", "b", "c"], ["a", "b", "c"]])
+    def test_relabel_rejects_merges_and_wrong_length(self, labels):
+        with pytest.raises(ValueError):
+            graph_from_factorization(factor_integer(12), loops=True).relabel(labels)
+        with pytest.raises(ValueError):
+            Graph(("p", "q", "r", "s")).relabel(labels)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_graph_and_compressed_graph_share_canonical_form(self, data):

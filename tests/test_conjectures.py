@@ -267,6 +267,35 @@ class TestConjecture4:
         assert report.details["layer"] == "predicted graphs (windows not exact)"
 
     @pytest.mark.parametrize(
+        "line, layer",
+        [
+            ("Z/72 | 12 | F2[x]/(x^5+x^3) | x^3+x^2", "oracle graphs"),
+            (
+                "F2[x,y]/(x^3,y^3) | x^2*y | F2[x,y]/(x^3,y^3) | x*y^2",
+                "predicted graphs (windows not exact)",
+            ),
+        ],
+    )
+    def test_budget_exhaustion_skips_in_either_layer(self, line, layer):
+        report = check_conjecture4(*parse_instance_line(4, line), budget=1)
+        assert report.verdict == "skipped"
+        assert report.details["layer"] == layer
+        assert report.details["reason"] == "isomorphism search exceeded the node budget"
+        assert len(report.details["graph_digests"]) == 2
+        assert "witness_graphs" not in report.details
+
+    def test_inexact_multi_generator_skips(self):
+        gens = [bivar("x^2*y"), bivar("x^2*y^2")]
+        report = check_conjecture4(XY33, gens, XY33, gens)
+        assert report.verdict == "skipped"
+        assert report.details["windows_exact"] == [False, False]
+        assert report.details["reason"] == (
+            "window truncation prevents the oracle layer and no predicted "
+            "construction exists for multi-generator ideals"
+        )
+        assert "layer" not in report.details
+
+    @pytest.mark.parametrize(
         "line, side",
         [
             ("F2[x,y]/(x^2,y^2) | x+y | F2[x,y]/(x^2,y^2) | x+y", 1),

@@ -4,7 +4,11 @@ Witness soundness is re-checked here with an independent edge-by-edge
 verifier rather than trusting the one inside the module.
 """
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdgraph.arithmetic import factor_integer, factor_polynomial
 from zdgraph.compressed_graph import (
@@ -17,6 +21,7 @@ from zdgraph.finite_ring import IntegersMod, oracle_compressed_graph
 from zdgraph.isomorphism import (
     IsoReport,
     SearchBudgetExceeded,
+    _verify_witness,
     graphs_isomorphic,
     signature_sufficient,
 )
@@ -160,6 +165,68 @@ class TestSearch:
         a = graphs_isomorphic(CYCLE6, TRIANGLES).isomorphic
         b = graphs_isomorphic(TRIANGLES, CYCLE6).isomorphic
         assert a == b == False  # noqa: E712
+
+
+class TestWitnessCheck:
+    """The certificate check turns down each kind of bad pairing.  Every
+    rejection is paired with an acceptance that differs in one setting, so
+    the test knows which comparison said no."""
+
+    PATH = plain("abc", [(0, 1), (1, 2)], loops="b", sizes=(1, 2, 1))
+    GOOD = (("a", "x"), ("b", "y"), ("c", "z"))
+
+    def target(self, loops="y", sizes=(1, 2, 1)):
+        return plain("xyz", [(0, 1), (1, 2)], loops=loops, sizes=sizes)
+
+    def test_accepts_the_true_pairing(self):
+        assert _verify_witness(self.PATH, self.target(), self.GOOD, True, True)
+
+    def test_rejects_a_swapped_pair(self):
+        swapped = (("a", "y"), ("b", "x"), ("c", "z"))
+        assert not _verify_witness(self.PATH, self.target(), swapped, False, False)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            (("a", "x"), ("b", "y"), ("c", "y")),  # y taken twice
+            (("a", "x"), ("b", "y")),  # c left out
+        ],
+    )
+    def test_rejects_a_pairing_that_is_not_one_to_one(self, pairs):
+        assert not _verify_witness(self.PATH, self.target(), pairs, False, False)
+
+    def test_rejects_an_unknown_label(self):
+        pairs = (("a", "x"), ("b", "y"), ("q", "z"))
+        assert not _verify_witness(self.PATH, self.target(), pairs, False, False)
+
+    def test_rejects_a_loop_mismatch_when_loops_count(self):
+        g2 = self.target(loops="yz")
+        assert not _verify_witness(self.PATH, g2, self.GOOD, True, False)
+        assert _verify_witness(self.PATH, g2, self.GOOD, False, False)
+
+    def test_rejects_a_size_mismatch_when_sizes_count(self):
+        g2 = self.target(sizes=(1, 2, 3))
+        assert not _verify_witness(self.PATH, g2, self.GOOD, False, True)
+        assert _verify_witness(self.PATH, g2, self.GOOD, False, False)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_relabelled_graph_is_isomorphic_through_its_witness(self, data):
+        n = data.draw(st.integers(0, 9))
+        pairs = list(combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        loops = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        g1 = CompressedGraph(
+            tuple(Vertex(f"v{i}", size=s, loop=l) for i, (l, s) in enumerate(zip(loops, sizes))),
+            tuple(edges),
+            loops_admitted=True,
+        )
+        g2 = g1.relabel(data.draw(st.permutations([f"w{i}" for i in range(n)])))
+        r = graphs_isomorphic(g1, g2, respect_sizes=True)
+        assert r.isomorphic
+        image = dict(r.witness)
+        assert g1.relabel([image[v.label] for v in g1.vertices]) == g2
 
 
 class TestRingFixtures:

@@ -55,6 +55,21 @@ class TestBlowup:
         assert out.checked == 199 + len(FIXTURE_SPECS)
 
 
+    def test_class_named_differently_is_reported(self, monkeypatch):
+        # the class of 4 in Z/12 listed under 5: its expanded vertices have
+        # no rename, which is a failure to report, not a KeyError
+        from zdgraph import sweeps
+
+        real = sweeps.element_label
+        monkeypatch.setattr(
+            sweeps,
+            "element_label",
+            lambda spec, x: "5" if spec == IntegersMod(12) and x == 4 else real(spec, x),
+        )
+        out = blowup_sweep(max_n=13, object_level_max=13)
+        assert out.failures == ("Z/12: expansion vertex set differs from full graph",)
+
+
 class TestNzLemma:
     def test_fixture_rings(self):
         specs = (
