@@ -33,6 +33,7 @@ __all__ = [
     "ZERO_CLASS",
     "ZeroDivisorBasis",
     "zero_divisor_basis",
+    "basis_graph",
     "graph_from_factorization",
     "graph_from_exponents",
     "gcd_class_representative",
@@ -226,13 +227,18 @@ def _divisor_vectors(s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(v for v in _cartesian(*(range(e + 1) for e in s)) if any(v) and v != s)
 
 
-def _basis_graph(s, vectors, labels, loops: bool) -> CompressedGraph:
-    """Edge between v, w iff v + w >= s componentwise; loop at v iff 2v >= s."""
+def basis_graph(gen_vectors, vectors, labels, loops: bool) -> CompressedGraph:
+    """Graph of a union of principal ideals, one exponent vector s per
+    generator, on the given vectors: edge between v, w iff v + w >= s
+    componentwise for some s; loop at v iff 2v >= s for some s."""
+
+    def looped(v):
+        return any(all(2 * x >= e for x, e in zip(v, s)) for s in gen_vectors)
+
     verts = tuple(
-        Vertex(label, exponents=v, loop=loops and all(2 * x >= e for x, e in zip(v, s)))
-        for v, label in zip(vectors, labels)
+        Vertex(label, exponents=v, loop=loops and looped(v)) for v, label in zip(vectors, labels)
     )
-    return CompressedGraph(verts, _basis_edges(s, vectors), loops)
+    return CompressedGraph(verts, _basis_edges(gen_vectors, vectors), loops)
 
 
 # Pairs tested per block in _basis_edges: a graph of up to 256 vertices
@@ -241,24 +247,28 @@ def _basis_graph(s, vectors, labels, loops: bool) -> CompressedGraph:
 _EDGE_BLOCK = 1 << 16
 
 
-def _basis_edges(s, vectors) -> list[tuple[int, int]]:
-    """The pairs (a, b), a < b, with vectors[b] >= s - vectors[a] componentwise."""
+def _basis_edges(gen_vectors, vectors) -> list[tuple[int, int]]:
+    """The pairs (a, b), a < b, with vectors[b] >= s - vectors[a]
+    componentwise for some s in gen_vectors."""
     # Imported here so that `import zdgraph` still loads numpy only after its
     # other modules: loading it first left about 1 MB more resident when the
     # modules compile from source (no cached bytecode).
     import numpy as np
 
     n = len(vectors)
-    comps = np.array(vectors, dtype=np.int64).reshape(n, len(s)).T  # comps[i] = component i
-    need = np.array(s, dtype=np.int64)[:, None] - comps
+    comps = np.array(vectors, dtype=np.int64).reshape(n, len(gen_vectors[0])).T  # component i
+    needs = [np.array(s, dtype=np.int64)[:, None] - comps for s in gen_vectors]
     ids = np.array(range(n), dtype=object)  # edge endpoints share these ints
     edges: list[tuple[int, int]] = []
     step = max(1, _EDGE_BLOCK // max(n, 1))
     for lo in range(0, n, step):
-        # rows a in [lo, lo + step) against columns b in [lo, n)
-        hit = comps[0, lo:] >= need[0, lo : lo + step, None]
-        for c, t in zip(comps[1:], need[1:]):
-            hit &= c[lo:] >= t[lo : lo + step, None]
+        # rows a in [lo, lo + step) against columns b in [lo, n), for each s
+        hit = None
+        for need in needs:
+            h = comps[0, lo:] >= need[0, lo : lo + step, None]
+            for c, t in zip(comps[1:], need[1:]):
+                h &= c[lo:] >= t[lo : lo + step, None]
+            hit = h if hit is None else hit | h
         rows, cols = np.nonzero(hit)
         upper = cols > rows
         edges.extend(zip(ids[rows[upper] + lo].tolist(), ids[cols[upper] + lo].tolist()))
@@ -276,7 +286,7 @@ def graph_from_exponents(s: tuple[int, ...], loops: bool) -> CompressedGraph:
     if not s or any(e < 1 for e in s):
         raise ValueError(f"exponents must be a nonempty tuple of positive integers, got {s}")
     vecs = _divisor_vectors(s)
-    return _basis_graph(s, vecs, [",".join(str(e) for e in v) for v in vecs], loops)
+    return basis_graph([s], vecs, [",".join(str(e) for e in v) for v in vecs], loops)
 
 
 def graph_from_factorization(fact: Factorization, loops: bool) -> CompressedGraph:
@@ -287,7 +297,7 @@ def graph_from_factorization(fact: Factorization, loops: bool) -> CompressedGrap
     """
     basis = zero_divisor_basis(fact)
     labels = [_element_label(d) for d in basis.divisors()]
-    return _basis_graph(fact.exponents(), basis.vectors, labels, loops)
+    return basis_graph([fact.exponents()], basis.vectors, labels, loops)
 
 
 def gcd_class_representative(a, fact: Factorization):

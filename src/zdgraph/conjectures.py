@@ -11,6 +11,10 @@ the infinite quotient: integer windows Z/m with every generator dividing m,
 and univariate windows F_p[x]/(w) with every generator dividing w. Bivariate
 truncation windows are never exact, so a mismatch there is reported as a
 truncation artifact rather than a counterexample.
+
+Conjectures 2-4 set up each (ring, generators) instance once, as a _Window,
+and predicted graphs come from compressed_graph.basis_graph, the one builder
+of the adjacency rule v + w >= some generator's exponent vector.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product as iter_product
+from itertools import permutations, product as iter_product
 
 from .arithmetic import (
     FpPoly,
@@ -29,7 +33,12 @@ from .arithmetic import (
     format_poly_pretty,
     poly_gcd,
 )
-from .compressed_graph import CompressedGraph, Vertex, graph_from_exponents, to_json as graph_json
+from .compressed_graph import (
+    CompressedGraph,
+    basis_graph,
+    graph_from_exponents,
+    to_json as graph_json,
+)
 from .finite_ring import (
     SCAN_LIMIT,
     BivariateMonomialQuotient,
@@ -49,7 +58,6 @@ from .finite_ring import (
     quotient_by_ideal,
     ring_table,
     standard_monomials,
-    zero_divisor_classes,
 )
 from .isomorphism import DEFAULT_BUDGET, SearchBudgetExceeded, graphs_isomorphic
 
@@ -110,8 +118,7 @@ class _Instance:
 
     def __init__(self, ambient, gens):
         self.ambient = ambient
-        self.gens = list(gens)
-        self.irreducibles, self.gen_vectors = _factor_all(ambient, self.gens)
+        self.irreducibles, self.gen_vectors = _factor_all(ambient, gens)
         self.images = [_image(ambient, p) for p in self.irreducibles]
 
     def vector_image(self, vec):
@@ -121,13 +128,6 @@ class _Instance:
             for _ in range(e):
                 out = mul_elements(self.ambient, out, img)
         return out
-
-    def basis(self):
-        """(vector, window image) of each non-unit generator divisor whose
-        image lies outside the ideal."""
-        members = set(ideal_members(self.ambient, self.gens))
-        pairs = ((vec, self.vector_image(vec)) for vec in self.divisor_vectors())
-        return [(vec, img) for vec, img in pairs if img not in members]
 
     def divisor_vectors(self):
         """Exponent vectors of every non-unit divisor of some generator."""
@@ -139,12 +139,6 @@ class _Instance:
                     seen.add(vec)
                     out.append(vec)
         return sorted(out)
-
-    def divides_some_gen(self, vec) -> bool:
-        """True when some n_alpha divides the monomial with this vector."""
-        return any(
-            all(v >= g for v, g in zip(vec, gvec)) for gvec in self.gen_vectors
-        )
 
 
 def _support(ambient, elem):
@@ -193,10 +187,9 @@ def _window_exact(ambient, gens) -> bool:
 
 
 def _ufd_gcd(ambient, a, gens):
-    """gcd of {a} union {n_alpha}, computed with exact ambient arithmetic.
-
-    Returns a window element, or None when the window cannot carry it.
-    """
+    """gcd of {a} union {n_alpha} as a window element, computed with exact
+    ambient arithmetic.  The generators are nonzero, so a bivariate gcd is a
+    monomial dividing a standard one, hence standard itself."""
     if isinstance(ambient, IntegersMod):
         g = 0
         for v in [int(a)] + [int(x) for x in gens]:
@@ -207,24 +200,12 @@ def _ufd_gcd(ambient, a, gens):
         for v in [a] + list(gens):
             g = poly_gcd(g, v)
         return g % ambient.modulus
-    monos = standard_monomials(ambient)
-    vx, vy = None, None
-    for elem in [a] + list(gens):
-        support = _support(ambient, elem)
-        if not support:
-            continue  # zero contributes nothing to a gcd
-        ex = min(m[0] for m in support)
-        ey = min(m[1] for m in support)
-        vx = ex if vx is None else min(vx, ex)
-        vy = ey if vy is None else min(vy, ey)
-    if vx is None:
-        return tuple(0 for _ in monos)
-    if (vx, vy) not in monos:
-        return None
-    return tuple(1 if m == (vx, vy) else 0 for m in monos)
+    support = [m for elem in [a] + list(gens) for m in _support(ambient, elem)]
+    gcd = (min(m[0] for m in support), min(m[1] for m in support))
+    return tuple(int(m == gcd) for m in standard_monomials(ambient))
 
 
-# --- shared gates ------------------------------------------------------------
+# --- one window per instance -------------------------------------------------
 
 
 def _is_unit_gen(ambient, g) -> bool:
@@ -232,38 +213,65 @@ def _is_unit_gen(ambient, g) -> bool:
     return len(annihilator(ambient, g)) == 1
 
 
-def _union_gate(ambient, gens):
-    """Returns (details, failure reason or None)."""
-    details = {}
+def _union_gate(ambient, gens, details) -> str | None:
+    """The reason gens do not generate a proper union of principal ideals,
+    or None; what the gate finds goes into details."""
     if not gens:
-        return details, "no generators given"
+        return "no generators given"
     for g in gens:
         if g == parse_element(ambient, "0"):
-            return details, "zero generator"
+            return "zero generator"
         if _is_unit_gen(ambient, g):
-            return details, "ideal is the whole ring; the quotient would be the zero ring"
+            return "ideal is the whole ring; the quotient would be the zero ring"
     union_ok = ideal_is_union(ambient, gens, gens)
     details["union_in_window"] = union_ok
     if not union_ok:
         members = set(ideal_members(ambient, gens))
-        covered = set()
-        for g in gens:
-            covered.update(ideal_members(ambient, [g]))
+        covered = {m for g in gens for m in ideal_members(ambient, [g])}
         witness = sorted(members - covered, key=lambda x: element_label(ambient, x))
         if witness:
             details["union_witness"] = element_label(ambient, witness[0])
-        return details, "ideal is not the union of the given principal ideals"
-    return details, None
+        return "ideal is not the union of the given principal ideals"
+    return None
 
 
-def _instance_or_reason(ambient, gens):
-    """(_Instance(ambient, gens), None), or (None, reason) for a generator
-    outside the supported forms.  Gens that passed _union_gate include no
-    unit, so their quotient is never the zero ring."""
+@dataclass(frozen=True)
+class _Window:
+    """One (ambient, generators) instance: why the union gate refused it
+    (then nothing else is set), whether the window is exact, the quotient
+    with its model and scan, and the factored generators or why not."""
+
+    failure: str | None
+    exact: bool = False
+    quotient: object = None
+    model: object = None
+    scan: object = None
+    inst: _Instance | None = None
+    inst_failure: str | None = None
+
+    def basis(self):
+        """(vector, window image) of each non-unit generator divisor whose
+        image lies outside the ideal."""
+        zero = self.model.index(parse_element(self.inst.ambient, "0"))
+        pairs = ((vec, self.inst.vector_image(vec)) for vec in self.inst.divisor_vectors())
+        return [(vec, img) for vec, img in pairs if self.model.index(img) != zero]
+
+
+def _window(ambient, gens, details) -> _Window:
+    """The window of gens in ambient; the union gate writes into details.
+    Gens that pass the gate include no unit, so their quotient is never the
+    zero ring."""
+    failure = _union_gate(ambient, gens, details)
+    if failure:
+        return _Window(failure)
+    quotient = quotient_by_ideal(ambient, gens)
+    table = ring_table(quotient)
     try:
-        return _Instance(ambient, gens), None
+        inst, inst_failure = _Instance(ambient, gens), None
     except ValueError as exc:
-        return None, str(exc)
+        inst, inst_failure = None, str(exc)
+    exact = _window_exact(ambient, gens)
+    return _Window(None, exact, quotient, table.model, table.scan, inst, inst_failure)
 
 
 # --- generalized basis --------------------------------------------------------
@@ -278,10 +286,11 @@ def generalized_basis(ambient, union_gens) -> list:
     the window model, so an inexact window can absorb divisors the infinite
     ambient ring would keep; pick windows every generator divides.
     """
-    _, failure = _union_gate(ambient, union_gens)
+    window = _window(ambient, union_gens, {})
+    failure = window.failure or window.inst_failure
     if failure:
         raise ValueError(failure)
-    return [img for _, img in _Instance(ambient, union_gens).basis()]
+    return [img for _, img in window.basis()]
 
 
 # --- conjecture 1 -------------------------------------------------------------
@@ -387,15 +396,13 @@ def _sample_indices(size: int):
 def check_conjecture2(ambient, union_gens, sample=None) -> ConjectureReport:
     """Classes of a and of gcd({a} and the generators) must coincide."""
     instance = _instance_string(ambient, union_gens)
-    details, failure = _union_gate(ambient, union_gens)
-    if failure:
-        return _skip(2, instance, details, failure)
-    exact = _window_exact(ambient, union_gens)
-    details["window_exact"] = exact
-    quotient = quotient_by_ideal(ambient, union_gens)
+    details: dict = {}
+    window = _window(ambient, union_gens, details)
+    if window.failure:
+        return _skip(2, instance, details, window.failure)
+    details["window_exact"] = window.exact
+    quotient, qmodel, scan = window.quotient, window.model, window.scan
     details["quotient_graph_digest"] = _digest(oracle_compressed_graph(quotient, loops=True))
-    qtable = ring_table(quotient)
-    qmodel, scan = qtable.model, qtable.scan
     amodel = ring_table(ambient).model
     if sample is None:
         elems = [amodel.element(i) for i in _sample_indices(amodel.size)]
@@ -410,9 +417,6 @@ def check_conjecture2(ambient, union_gens, sample=None) -> ConjectureReport:
     checked = 0
     for a in elems:
         g = _ufd_gcd(ambient, a, union_gens)
-        if g is None:
-            details["witness"] = element_label(ambient, a)
-            return _skip(2, instance, details, "the window cannot represent the gcd")
         ca = scan.class_ids[qmodel.index(a)]
         cg = scan.class_ids[qmodel.index(g)]
         checked += 1
@@ -424,7 +428,7 @@ def check_conjecture2(ambient, union_gens, sample=None) -> ConjectureReport:
                 "class_of_gcd": element_label(quotient, qmodel.element(scan.groups[cg].first)),
             }
             details["checked"] = checked
-            if exact:
+            if window.exact:
                 return ConjectureReport(2, instance, "counterexample", details)
             return _skip(2, instance, details, _TRUNCATION)
     details["checked"] = checked
@@ -437,26 +441,23 @@ def check_conjecture2(ambient, union_gens, sample=None) -> ConjectureReport:
 def check_conjecture3(ambient, union_gens) -> ConjectureReport:
     """Predicted product-class graph against the oracle graph of the quotient."""
     instance = _instance_string(ambient, union_gens)
-    details, failure = _union_gate(ambient, union_gens)
-    if failure:
-        return _skip(3, instance, details, failure)
-    exact = _window_exact(ambient, union_gens)
-    details["window_exact"] = exact
+    details: dict = {}
+    window = _window(ambient, union_gens, details)
+    if window.failure:
+        return _skip(3, instance, details, window.failure)
+    details["window_exact"] = window.exact
     details["interpretation"] = (
         "products of at most len(basis) generalized-basis elements; "
         "edges use the first product found in each class"
     )
-    inst, reason = _instance_or_reason(ambient, union_gens)
-    if inst is None:
-        return _skip(3, instance, details, reason)
-    quotient = quotient_by_ideal(ambient, union_gens)
-    qtable = ring_table(quotient)
-    qmodel, scan = qtable.model, qtable.scan
+    if window.inst is None:
+        return _skip(3, instance, details, window.inst_failure)
+    inst, quotient, qmodel, scan = window.inst, window.quotient, window.model, window.scan
     ids = scan.class_ids
     one = parse_element(ambient, "1")
     zero_cls = int(ids[qmodel.index(parse_element(ambient, "0"))])
     unit_cls = int(ids[qmodel.index(one)])
-    basis = inst.basis()
+    basis = window.basis()
     details["basis_size"] = len(basis)
 
     # breadth-first closure over products of basis elements, from the empty
@@ -489,18 +490,7 @@ def check_conjecture3(ambient, union_gens) -> ConjectureReport:
     classes = sorted(found)
     names = [label_of[c] for c in classes]
     vecs = [found[c] for c in classes]
-    predicted = CompressedGraph(
-        tuple(
-            Vertex(name, loop=inst.divides_some_gen(tuple(2 * x for x in vec)))
-            for name, vec in zip(names, vecs)
-        ),
-        tuple(
-            (i, j)
-            for (i, v), (j, w) in combinations(enumerate(vecs), 2)
-            if inst.divides_some_gen(tuple(a + b for a, b in zip(v, w)))
-        ),
-        loops_admitted=True,
-    )
+    predicted = basis_graph(inst.gen_vectors, vecs, names, loops=True)
     oracle = oracle_compressed_graph(quotient, loops=True)
 
     def looped(g):
@@ -527,7 +517,7 @@ def check_conjecture3(ambient, union_gens) -> ConjectureReport:
         details["checked_edges"] = len(oracle.edges)
         return ConjectureReport(3, instance, "supported", details)
     details["mismatch"] = mismatch
-    if exact:
+    if window.exact:
         return ConjectureReport(3, instance, "counterexample", details)
     return _skip(3, instance, details, _TRUNCATION)
 
@@ -560,19 +550,6 @@ def _patterns_match(rows1, rows2):
     return False
 
 
-def _c4_side_gate(ambient, gens, details, side):
-    gate_details, failure = _union_gate(ambient, gens)
-    details[f"side{side}"] = gate_details
-    if failure:
-        return f"side {side}: {failure}", None
-    if len(ideal_members(ambient, gens)) == 1:
-        return f"side {side}: ideal is trivial", None
-    quotient = quotient_by_ideal(ambient, gens)
-    if not zero_divisor_classes(quotient):
-        return f"side {side}: ideal is maximal in the window model", None
-    return None, quotient
-
-
 def check_conjecture4(
     ambient1, union_gens1, ambient2, union_gens2, budget: int = DEFAULT_BUDGET
 ) -> ConjectureReport:
@@ -582,32 +559,35 @@ def check_conjecture4(
         f"{_instance_string(ambient2, union_gens2)}"
     )
     details: dict = {}
-    failure, quotient1 = _c4_side_gate(ambient1, union_gens1, details, 1)
-    if failure:
-        return _skip(4, instance, details, failure)
-    failure, quotient2 = _c4_side_gate(ambient2, union_gens2, details, 2)
-    if failure:
-        return _skip(4, instance, details, failure)
-
-    inst1, reason1 = _instance_or_reason(ambient1, union_gens1)
-    inst2, reason2 = _instance_or_reason(ambient2, union_gens2)
-    if inst1 is None or inst2 is None:
-        reason = f"side 1: {reason1}" if inst1 is None else f"side 2: {reason2}"
-        return _skip(4, instance, details, reason)
-    rows1, rows2 = _pattern(inst1), _pattern(inst2)
+    windows = []
+    for side, (ambient, gens) in enumerate([(ambient1, union_gens1), (ambient2, union_gens2)], 1):
+        details[f"side{side}"] = {}
+        w = _window(ambient, gens, details[f"side{side}"])
+        failure = w.failure
+        if not failure and w.model.size == ring_table(ambient).model.size:
+            failure = "ideal is trivial"
+        elif not failure and not w.scan.zd_gids:
+            failure = "ideal is maximal in the window model"
+        if failure:
+            return _skip(4, instance, details, f"side {side}: {failure}")
+        windows.append(w)
+    w1, w2 = windows
+    for side, w in enumerate(windows, 1):
+        if w.inst is None:
+            return _skip(4, instance, details, f"side {side}: {w.inst_failure}")
+    rows1, rows2 = _pattern(w1.inst), _pattern(w2.inst)
     details["patterns"] = [sorted(rows1), sorted(rows2)]
     if not _patterns_match(rows1, rows2):
         reason = "exponent patterns do not match; the conjecture asserts sufficiency only"
         return _skip(4, instance, details, reason)
 
-    exact1 = _window_exact(ambient1, union_gens1)
-    exact2 = _window_exact(ambient2, union_gens2)
-    details["windows_exact"] = [exact1, exact2]
+    exact = w1.exact and w2.exact
+    details["windows_exact"] = [w1.exact, w2.exact]
 
-    if exact1 and exact2:
+    if exact:
         details["layer"] = "oracle graphs"
-        g1 = oracle_compressed_graph(quotient1, loops=True)
-        g2 = oracle_compressed_graph(quotient2, loops=True)
+        g1 = oracle_compressed_graph(w1.quotient, loops=True)
+        g2 = oracle_compressed_graph(w2.quotient, loops=True)
     elif len(union_gens1) == 1 and len(union_gens2) == 1:
         details["layer"] = "predicted graphs (windows not exact)"
         g1 = graph_from_exponents(rows1[0], loops=True)
@@ -625,7 +605,7 @@ def check_conjecture4(
         return _skip(4, instance, details, "isomorphism search exceeded the node budget")
     if report.isomorphic:
         return ConjectureReport(4, instance, "supported", details)
-    if exact1 and exact2:
+    if exact:
         details["witness_graphs"] = [json.loads(graph_json(g)) for g in (g1, g2)]
     details["separating"] = report.separating
     return ConjectureReport(4, instance, "counterexample", details)

@@ -443,18 +443,19 @@ def _row_reduce(a: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
 
 
 def _ideal_indices(model, gen_indices) -> np.ndarray:
-    """Indices of the ideal generated by the given elements: all multiples,
-    closed under addition to a fixpoint."""
-    parts = [np.asarray([0], dtype=np.int64)]
-    for g in gen_indices:
-        parts.append(model.mul_rows([int(g)])[0])
-    current = np.unique(np.concatenate(parts))
-    while True:
-        sums = model.add_rows(current)[:, current]
-        merged = np.union1d(current, sums.ravel())
-        if len(merged) == len(current):
-            return merged
-        current = merged
+    """Indices of the ideal generated by the given elements, sorted.
+
+    The ideal is the sum of the principal ideals, and each principal ideal
+    is one row of the multiplication table.  Sums are formed
+    model.row_block rows at a time, so no |I| x n table is allocated."""
+    parts = [np.unique(model.mul_rows([int(g)])[0]) for g in gen_indices]
+    ideal = parts[0] if parts else np.zeros(1, dtype=np.int64)
+    for part in parts[1:]:
+        members = np.zeros(model.size, dtype=bool)
+        for start in range(0, len(part), model.row_block):
+            members[model.add_rows(part[start : start + model.row_block])[:, ideal]] = True
+        ideal = np.flatnonzero(members)
+    return ideal
 
 
 # --- annihilator scan -------------------------------------------------------

@@ -358,6 +358,10 @@ GOLDEN_DIGESTS = {
     "conjecture 2 --instances C23 --report REPORT": "35a7566b1fd2557a4bebec87cc9a459d3cfd063a5512a198f1145ace8d1a6a1a",
     "conjecture 3 --instances C23 --report REPORT": "48bb60e4d10ddc4c74591785dfda2cda0c6dd555f13dc52c2442e255a9081d2a",
     "conjecture 4 --instances C4 --report REPORT": "e04ba1a19dec96dc65aca617857bdb52f0a6896c7ae3787b70543bd1b5cbc2f6",
+    # recorded before conjectures 2-4 shared one window per instance
+    "conjecture 2 --instances S23 --report REPORT": "0c507c4d4f3fd678b8f9ec1bb26dcbc4f9a918589307fbffb2f7cc7ced74bb2b",
+    "conjecture 3 --instances S23 --report REPORT": "efb4a9768cbd910ecbf7b6f22cece1cc06418adb22e2a615c59d5c78c02bc585",
+    "conjecture 4 --instances S4 --report REPORT": "b83324e23e4047fbcc05696eb38232bdb962d7418955e1892ac2280d0fd6770e",
 }
 
 # Instance files named in GOLDEN_DIGESTS commands, for branches the default
@@ -374,6 +378,28 @@ GOLDEN_INSTANCES = {
         "Z/48 | 12, 8 | Z/8 | 4\n"
         "Z/64 | 8 | Z/36 | 6\n"
         "Z/48 | 12 | Z/80 | 20\n"
+    ),
+    # one line per skip reason of conjectures 2-4 that an instance line can
+    # reach; in S4, side 1's gate comes before side 2's, and both gates come
+    # before either side's generators are factored
+    "S23": (
+        "Z/12 | 0\n"
+        "Z/20 | 7\n"
+        "F2[x,y]/(x^2,y^2) | x, y\n"
+        "F2[x,y]/(x^2,y^2) | x+y\n"
+        "F2[x,y]/(x^3,y^3) | x^2*y\n"
+        "F2[x,y]/(x^3,y^3) | x^2*y, x^2*y^2\n"
+    ),
+    "S4": (
+        "Z/12 | 0 | Z/8 | 4\n"
+        "Z/20 | 7 | Z/8 | 4\n"
+        "F2[x,y]/(x^2,y^2) | x, y | Z/8 | 4\n"
+        "F2[x,y]/(x^2,y^2) | x+y | Z/8 | 4\n"
+        "Z/8 | 4 | Z/9 | 3\n"
+        "Z/16 | 2 | Z/12 | 0\n"
+        "F2[x,y]/(x^2,y^2) | x+y | Z/16 | 2\n"
+        "Z/8 | 4 | F2[x,y]/(x^2,y^2) | x, y\n"
+        "F2[x,y]/(x^3,y^3) | x^2*y, x^2*y^2 | F2[x,y]/(x^3,y^3) | x^2*y, x^2*y^2\n"
     ),
 }
 

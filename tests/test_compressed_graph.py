@@ -12,6 +12,7 @@ from zdgraph.arithmetic import FpPoly, factor_integer, factor_polynomial, is_pri
 from zdgraph.compressed_graph import (
     ZERO_CLASS,
     CompressedGraph,
+    basis_graph,
     Graph,
     Vertex,
     expand_to_full_graph,
@@ -200,6 +201,36 @@ class TestGraphFromFactorization:
             graph_from_factorization(factor_integer(3170267100), loops=True),
         ):
             assert (len(g.vertices), len(g.edges), g.loop_count) == (1438, 64165, 11)
+
+
+class TestBasisGraph:
+    """Several generator vectors: the union rule against a plain loop."""
+
+    @pytest.mark.parametrize(
+        "gens, box",
+        [
+            ([(2, 1)], (3, 3)),
+            ([(2, 1), (1, 2)], (3, 3)),
+            ([(3, 0), (1, 1), (0, 3)], (4, 4)),
+            ([(1, 0, 2), (0, 2, 1), (2, 2, 0)], (8, 8, 8)),  # 511 vertices: four row blocks
+        ],
+    )
+    def test_matches_the_covering_rule(self, gens, box):
+        def covered(v):
+            return any(all(x >= e for x, e in zip(v, s)) for s in gens)
+
+        vecs = [v for v in itertools.product(*(range(b) for b in box)) if any(v)]
+        labels = [",".join(map(str, v)) for v in vecs]
+        g = basis_graph(gens, vecs, labels, loops=True)
+        index = {v.label: i for i, v in enumerate(g.vertices)}
+        expected = sorted(
+            tuple(sorted((index[labels[a]], index[labels[b]])))
+            for a, b in itertools.combinations(range(len(vecs)), 2)
+            if covered([x + y for x, y in zip(vecs[a], vecs[b])])
+        )
+        assert list(g.edges) == expected
+        loops = [covered([2 * x for x in v.exponents]) for v in g.vertices]
+        assert [v.loop for v in g.vertices] == loops
 
 
 class TestGcdClassRepresentative:

@@ -309,6 +309,32 @@ class TestConjecture4:
             f"side {side}: bivariate union generators must be single monomials"
         )
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # unequal generator counts
+            "F2[x,y]/(x^3,y^3) | x^2*y, x^2*y^2 | Z/72 | 12",
+            "F2[x,y]/(x^3,y^3) | x^2*y | F2[x,y]/(x^3,y^3) | x^2*y, x^2*y^2",
+            # equal shape, no column permutation matches
+            "Z/64 | 8 | Z/16 | 4",
+            "Z/72 | 12 | Z/36 | 6",
+            "F2[x,y]/(x^3,y^3) | x^2*y, x^2*y^2 | F2[x,y]/(x^3,y^3) | x*y, x*y^2",
+        ],
+    )
+    def test_patterns_that_do_not_match_skip(self, line):
+        report = check_conjecture4(*parse_instance_line(4, line))
+        assert report.verdict == "skipped"
+        assert report.details["reason"] == (
+            "exponent patterns do not match; the conjecture asserts sufficiency only"
+        )
+        assert "windows_exact" not in report.details
+
+    def test_pattern_matches_after_a_column_permutation(self):
+        line = "F2[x,y]/(x^3,y^3) | x^2*y, x^2*y^2 | F2[x,y]/(x^3,y^3) | x*y^2, x^2*y^2"
+        report = check_conjecture4(*parse_instance_line(4, line))
+        assert report.details["patterns"] == [[(2, 1), (2, 2)], [(1, 2), (2, 2)]]
+        assert report.details["reason"].startswith("window truncation prevents the oracle layer")
+
     def test_conjecture2_accepts_non_monomial_generator(self):
         # conjecture 2 never factors the generators, so it still decides
         report = check_conjecture2(XY22, [parse_element(XY22, "x+y")])
@@ -343,6 +369,39 @@ class TestUnitGenerator:
         report = check_conjecture4(*parse_instance_line(4, line))
         assert report.verdict == "skipped"
         assert report.details["reason"] == f"side {side}: {self.WHOLE_RING}"
+
+
+class TestApiOnlySkips:
+    """Skip reasons no instance line can reach: the CLI parses at least one
+    generator, and reduces a generator to its residue, so the window's
+    modulus arrives as 0."""
+
+    @pytest.mark.parametrize("check", [check_conjecture2, check_conjecture3])
+    def test_no_generators(self, check):
+        report = check(IntegersMod(8), [])
+        assert report.verdict == "skipped"
+        assert report.details == {"reason": "no generators given"}
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            ((IntegersMod(8), [], IntegersMod(8), [4]), "side 1: no generators given"),
+            ((IntegersMod(8), [4], IntegersMod(8), []), "side 2: no generators given"),
+            ((IntegersMod(8), [8], IntegersMod(8), [4]), "side 1: ideal is trivial"),
+            ((IntegersMod(8), [4], IntegersMod(9), [9]), "side 2: ideal is trivial"),
+            (
+                (IntegersMod(8), [4], PolyQuotient(2, f2(0, 0, 1)), [f2(0, 0, 1)]),
+                "side 2: ideal is trivial",
+            ),
+            # side 1's gate is decided before side 2's
+            ((IntegersMod(8), [8], IntegersMod(8), []), "side 1: ideal is trivial"),
+        ],
+    )
+    def test_conjecture4(self, args, reason):
+        report = check_conjecture4(*args)
+        assert report.verdict == "skipped"
+        assert report.details["reason"] == reason
+        assert "patterns" not in report.details
 
 
 class TestRingTable:

@@ -20,8 +20,13 @@ from zdgraph import conjectures, sweeps
 from zdgraph.arithmetic import FpPoly, factor_integer
 from zdgraph.cli import run
 from zdgraph.compressed_graph import CompressedGraph, Graph, graph_from_factorization
-from zdgraph.conjectures import check_conjecture3, parse_instance_line, report_to_json
-from zdgraph.finite_ring import IntegersMod, PolyQuotient
+from zdgraph.conjectures import (
+    check_conjecture2,
+    check_conjecture3,
+    parse_instance_line,
+    report_to_json,
+)
+from zdgraph.finite_ring import IntegersMod, PolyQuotient, QuotientRing, parse_element
 from zdgraph.isomorphism import IsoReport
 
 Z12 = IntegersMod(12)
@@ -200,6 +205,58 @@ class TestSignatureSufficiency:
         plant(monkeypatch, sweeps, "graphs_isomorphic", fault)
         out = sweeps.signature_sufficiency_sweep(max_n=12)
         assert out.failures == (f"signature (1, 1): Z/6 vs Z/10 {kind} graphs differ",)
+
+
+def wrong_class(a, b):
+    """A fault for ring_table: in the scan of every quotient, the element a
+    gets the class of b."""
+
+    def fault(table, spec):
+        if not isinstance(spec, QuotientRing):
+            return table
+        model, scan = table.model, table.scan
+        ids = scan.class_ids.copy()
+        ids[model.index(a)] = ids[model.index(b)]
+        return SimpleNamespace(model=model, scan=scan._replace(class_ids=ids))
+
+    return fault
+
+
+class TestConjecture2:
+    """The class of a against the class of its gcd with the generators, in a
+    quotient scan with one class id planted wrong.
+
+    Digests are sha256 of report_to_json, recorded from the check as it
+    stood before its window set-up was shared with conjectures 3 and 4."""
+
+    def test_exact_window_is_a_counterexample(self, monkeypatch):
+        # gcd(5, 12) = 1, but the planted scan puts 5 in the class of 2
+        plant(monkeypatch, conjectures, "ring_table", wrong_class(5, 2))
+        report = check_conjecture2(*parse_instance_line(2, "Z/48 | 12"))
+        assert report.verdict == "counterexample"
+        assert report.details["witness"] == {
+            "a": "5", "gcd": "1", "class_of_a": "2", "class_of_gcd": "1"
+        }
+        assert report.details["checked"] == 6
+        assert digest(report_to_json(report)) == (
+            "65d371f48d98d665a5f9090c5b4ea12cc716c44933e05a10f1f03e5d63f33c54"
+        )
+
+    def test_inexact_window_skips(self, monkeypatch):
+        # x+1 is coprime to x^2*y; the planted scan puts it in the class of x,
+        # ahead of the truncation witness x+y the true scan gives
+        spec, gens = parse_instance_line(2, "F2[x,y]/(x^3,y^3) | x^2*y")
+        x, x1 = (parse_element(spec, t) for t in ("x", "x+1"))
+        plant(monkeypatch, conjectures, "ring_table", wrong_class(x1, x))
+        report = check_conjecture2(spec, gens)
+        assert report.verdict == "skipped"
+        assert report.details["reason"] == "window truncation artifact; ambient hypothesis unmet"
+        assert report.details["witness"] == {
+            "a": "x+1", "gcd": "1", "class_of_a": "x", "class_of_gcd": "1"
+        }
+        assert digest(report_to_json(report)) == (
+            "aa21f51a54dc167a4759b8f5ea8ac603e704d688e2987290aefbc056187e683c"
+        )
 
 
 class TestConjecture3:

@@ -6,6 +6,7 @@ answer to.
 """
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +408,43 @@ class TestIdeals:
         got = ideal_members(F2XY, [parse_element(F2XY, "x"), parse_element(F2XY, "y")])
         labels = [element_label(F2XY, m) for m in got]
         assert labels == ["0", "x", "y", "x+y", "x*y", "x*y+x", "x*y+y", "x*y+x+y"]
+
+    @pytest.mark.parametrize(
+        "spec, gens",
+        [
+            ("Z/48", "12, 8"),
+            ("Z/60", "6, 10, 15"),
+            ("Z/36", "0, 9"),
+            ("F2[x,y]/(x^2,y^2)", "x, y"),
+            ("F2[x,y]/(x^3,y^3)", "x^2, x*y, y^2"),
+            ("F3[x,y]/(x^2,y^2)", "x+y, x*y"),
+            ("F2[x]/(x^4+x^2)", "x^3+x^2, x^2+x"),
+        ],
+    )
+    def test_members_are_the_additive_closure(self, spec, gens):
+        # reference: every multiple of a generator, then sums of members
+        # until no new element appears
+        ring = parse_ring_spec(spec)
+        gens = [parse_element(ring, g.strip()) for g in gens.split(",")]
+        elems = enumerate_elements(ring)
+        closure = {mul_elements(ring, r, g) for r in elems for g in gens}
+        while True:
+            sums = {add_elements(ring, a, b) for a in closure for b in closure}
+            if sums <= closure:
+                break
+            closure |= sums
+        assert ideal_members(ring, gens) == [e for e in elems if e in closure]
+
+    def test_closure_memory_is_bounded(self):
+        ring_table(IntegersMod(8000))
+        tracemalloc.start()
+        try:
+            members = ideal_members(IntegersMod(8000), [2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert members == list(range(0, 8000, 2))
+        assert peak < 64 * 2**20
 
     def test_union_true_for_principal(self):
         x = parse_element(F2XY, "x")
