@@ -37,6 +37,7 @@ __all__ = [
     "graph_from_factorization",
     "graph_from_exponents",
     "gcd_class_representative",
+    "gcd_class_residues",
     "signature",
     "vertex_count",
     "expand_to_full_graph",
@@ -315,6 +316,28 @@ def gcd_class_representative(a, fact: Factorization):
     if clipped == fact.exponents():
         return ZERO_CLASS
     return clipped
+
+
+def gcd_class_residues(fact: Factorization):
+    """gcd_class_representative of every a in Z/n at once, as residues.
+
+    n is the integer fact factors.  rep[a] = prod p_i^min(v_{p_i}(a), s_i)
+    mod n, an int64 array over range(n): 0 for a = 0 (the ZERO_CLASS
+    marker), 1 for the units, and otherwise the divisor of a's clipped
+    exponent vector.  For each prime power p^k of n, k = 1..s, every
+    multiple of p^k gains one factor p.
+    """
+    import numpy as np  # imported here for the reason given in _basis_edges
+
+    if fact.backend != "int":
+        raise ValueError("gcd_class_residues needs an integer factorization")
+    n = abs(fact.value())
+    rep = np.ones(n, dtype=np.int64)
+    for irr, s in fact.factors:
+        p = irr.value
+        for k in range(1, s + 1):
+            rep[:: p**k] *= p
+    return rep % n
 
 
 def signature(fact: Factorization) -> tuple[int, ...]:

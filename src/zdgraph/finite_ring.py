@@ -219,8 +219,17 @@ class _IntModel(_ZeroPatternKeys):
         self.row_block = max(1, 2**21 // n)
 
     def mul_rows(self, rows) -> np.ndarray:
-        r = np.asarray(rows, dtype=np.int64)
-        return (r[:, None] * np.arange(self.n, dtype=np.int64)) % self.n
+        # a product of two residues is below n^2, which fits in uint32 up to
+        # n = 2^16; there the blocks take half the memory of int64 ones
+        dtype = np.uint32 if self.n <= 2**16 else np.int64
+        r = np.asarray(rows, dtype=dtype)
+        prod = r[:, None] * np.arange(self.n, dtype=dtype)
+        # p - (p // n) * n: numpy divides by a scalar faster than it takes
+        # a remainder
+        quot = prod // self.n
+        quot *= self.n
+        prod -= quot
+        return prod
 
     def add_rows(self, rows) -> np.ndarray:
         r = np.asarray(rows, dtype=np.int64)
@@ -705,13 +714,8 @@ def oracle_compressed_graph(spec, loops: bool) -> CompressedGraph:
                 loop=bool(table[pos, pos]) if loops else False,
             )
         )
-    edges = [
-        (i, j)
-        for i in range(len(reps))
-        for j in range(i + 1, len(reps))
-        if table[i, j]
-    ]
-    return CompressedGraph(tuple(verts), tuple(edges), loops)
+    rows, cols = np.nonzero(np.triu(table, 1))
+    return CompressedGraph(tuple(verts), tuple(zip(rows.tolist(), cols.tolist())), loops)
 
 
 def full_zero_divisor_graph(spec) -> Graph:
@@ -730,9 +734,9 @@ def full_zero_divisor_graph(spec) -> Graph:
     for start in range(0, len(zd), block):
         chunk = zd[start : start + block]
         zero = model.mul_rows(chunk)[:, zd] == 0
-        for local, i in enumerate(range(start, min(start + block, len(zd)))):
-            cols = np.flatnonzero(zero[local, i + 1 :]) + i + 1
-            edges.extend((i, int(j)) for j in cols)
+        # local row i is element start + i; keep the columns right of it
+        rows, cols = np.nonzero(np.triu(zero, start + 1))
+        edges.extend(zip((rows + start).tolist(), cols.tolist()))
     return Graph(labels, tuple(edges))
 
 

@@ -15,9 +15,8 @@ import numpy as np
 
 from .arithmetic import Factorization, factor_integer, factor_polynomial, monic_polys
 from .compressed_graph import (
-    ZERO_CLASS,
     expand_to_full_graph,
-    gcd_class_representative,
+    gcd_class_residues,
     graph_from_factorization,
     signature,
     vertex_count,
@@ -113,16 +112,14 @@ def gcd_theorem_sweep(max_n: int = 500) -> SweepOutcome:
     failures: list[str] = []
     checked = 0
     for n in range(2, max_n + 1):
-        fact = factor_integer(n)
+        rep = gcd_class_residues(factor_integer(n))
         ids = ring_table(IntegersMod(n)).scan.class_ids
-        for a in range(n):
-            rep = gcd_class_representative(a, fact)
-            recon = 0 if rep is ZERO_CLASS else fact.divisor(rep) % n
-            checked += 1
-            if ids[a] != ids[recon]:
-                failures.append(f"Z/{n}: a={a} lands in a different class than {recon}")
-                if len(failures) > 20:
-                    return SweepOutcome("gcd_theorem", checked, tuple(failures))
+        wrong = np.flatnonzero(ids != ids[rep])[: 21 - len(failures)].tolist()
+        failures += [f"Z/{n}: a={a} lands in a different class than {rep[a]}" for a in wrong]
+        if len(failures) > 20:
+            # the per-element count stops at the element that failed last
+            return SweepOutcome("gcd_theorem", checked + wrong[-1] + 1, tuple(failures))
+        checked += n
     return SweepOutcome("gcd_theorem", checked, tuple(failures))
 
 

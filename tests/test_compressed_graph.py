@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from zdgraph.compressed_graph import (
     expand_to_full_graph,
     from_json,
     gcd_class_representative,
+    gcd_class_residues,
     graph_from_exponents,
     graph_from_factorization,
     signature,
@@ -256,6 +258,27 @@ class TestGcdClassRepresentative:
         fact = factor_polynomial(FpPoly(2, (0, 0, 1)))
         assert gcd_class_representative(FpPoly(2, ()), fact) is ZERO_CLASS
         assert gcd_class_representative(FpPoly(2, (0, 1)), fact) == (1,)
+
+
+class TestGcdClassResidues:
+    """The residues the gcd-theorem sweep checks, against the per-element
+    representative they replace there."""
+
+    @pytest.mark.parametrize("ns", [range(2, 301), (2**11, 3**7)], ids=["dense", "prime-powers"])
+    def test_matches_per_element_representative(self, ns):
+        for n in ns:
+            fact = factor_integer(n)
+            expected = []
+            for a in range(n):
+                rep = gcd_class_representative(a, fact)
+                expected.append(0 if rep is ZERO_CLASS else fact.divisor(rep) % n)
+            got = gcd_class_residues(fact)
+            assert got.dtype == np.int64
+            assert got.tolist() == expected, n
+
+    def test_rejects_polynomials(self):
+        with pytest.raises(ValueError, match="integer"):
+            gcd_class_residues(factor_polynomial(FpPoly(2, (0, 0, 1))))
 
 
 class TestSignature:

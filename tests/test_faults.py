@@ -174,13 +174,45 @@ class TestBlowup:
         )
 
 
+def wrong_residues(fault):
+    """A fault for gcd_class_residues: fault(n, rep) edits a copy of the
+    true residues of Z/n."""
+
+    def planted(rep, fact):
+        rep = rep.copy()
+        fault(fact.value(), rep)
+        return rep
+
+    return planted
+
+
 class TestGcdTheorem:
     def test_wrong_representative(self, monkeypatch):
-        # gcd(10, 12) = 2 has exponents (1, 0); (0, 1) is the class of 3
-        plant(monkeypatch, sweeps, "gcd_class_representative",
-              lambda rep, a, fact: (0, 1) if fact == F12 and a == 10 else rep)
+        # gcd(10, 12) = 2 has exponents (1, 0); 3 has exponents (0, 1)
+        def fault(n, rep):
+            if n == 12:
+                rep[10] = 3
+
+        plant(monkeypatch, sweeps, "gcd_class_residues", wrong_residues(fault))
         out = sweeps.gcd_theorem_sweep(max_n=12)
         assert out.failures == ("Z/12: a=10 lands in a different class than 3",)
+        assert out.checked == sum(range(2, 13))
+
+    def test_stops_after_twenty_failures(self, monkeypatch):
+        # every nonzero a of Z/12 and on gets the class of 0: 11 failures in
+        # Z/12, and the 21st is a=10 of Z/13, where the count stops
+        def fault(n, rep):
+            if n >= 12:
+                rep[1:] = 0
+
+        plant(monkeypatch, sweeps, "gcd_class_residues", wrong_residues(fault))
+        out = sweeps.gcd_theorem_sweep(max_n=20)
+        assert out.failures == tuple(
+            f"Z/{n}: a={a} lands in a different class than 0"
+            for n, last in ((12, 11), (13, 10))
+            for a in range(1, last + 1)
+        )
+        assert out.checked == 88
 
 
 class TestNzLemma:

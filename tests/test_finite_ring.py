@@ -6,6 +6,7 @@ answer to.
 """
 
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -123,6 +124,18 @@ class TestMultiplication:
         for u in elems:
             for v in elems:
                 assert mul_elements(F2XY, u, v) == bivar_naive_mul(F2XY, u, v)
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+    def test_integer_rows_at_the_narrow_dtype_boundary(self, n):
+        # up to n = 2^16 the rows are computed in uint32, above it in int64
+        rows = [0, 1, 2, n // 2 + 1, n - 2, n - 1]
+        got = ring_table(IntegersMod(n)).model.mul_rows(rows)
+        for row, a in zip(got.tolist(), rows):
+            assert row == [(a * x) % n for x in range(n)], a
+
+    def test_largest_narrow_product(self):
+        # (2^16 - 1)^2 = 2^32 - 2^17 + 1 is the largest uint32 product formed
+        assert mul_elements(IntegersMod(2**16), 2**16 - 1, 2**16 - 1) == 1
 
     def test_quotient_ring_matches_plain_modulus(self):
         q = quotient_by_ideal(IntegersMod(48), [12])
@@ -434,6 +447,17 @@ class TestIdeals:
                 break
             closure |= sums
         assert ideal_members(ring, gens) == [e for e in elems if e in closure]
+
+    @pytest.mark.parametrize(
+        "n, gens", [(12, [8]), (360, [84, 150]), (4096, [96, 0]), (19999, [14])]
+    )
+    def test_integer_ideals_are_multiples_of_the_gcd(self, n, gens):
+        g = math.gcd(n, *gens)
+        assert ideal_members(IntegersMod(n), gens) == list(range(0, n, g))
+        q = quotient_by_ideal(IntegersMod(n), gens)
+        assert enumerate_elements(q) == list(range(g))
+        for a in (1, g // 2 + 1, g - 1):
+            assert mul_elements(q, a, g - 1) == (a * (g - 1)) % g
 
     def test_closure_memory_is_bounded(self):
         ring_table(IntegersMod(8000))
