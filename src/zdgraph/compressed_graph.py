@@ -155,8 +155,9 @@ class Graph:
         return CompressedGraph(tuple(Vertex(s) for s in self.labels), self.edges, False)
 
     def to_json(self) -> str:
-        payload = {"vertices": list(self.labels), "edges": [list(e) for e in self.edges]}
-        return json.dumps(payload, indent=2) + "\n"
+        """The text of json.dumps({"vertices": labels, "edges": [[i, j],
+        ...]}, indent=2) plus a newline."""
+        return _json_graph([_json_str(s) for s in self.labels], self.edges)
 
     def to_dot(self) -> str:
         return _dot("zero_divisor_graph", [Vertex(s) for s in self.labels], self.edges)
@@ -390,21 +391,52 @@ def expand_to_full_graph(g: CompressedGraph) -> Graph:
 # --- serialization ----------------------------------------------------------
 
 
+# The graph JSON is written directly rather than through json.dumps: with an
+# indent, json.dumps runs the pure-Python encoder, about ten times slower than
+# these joins on a graph of 5313 edges.  The text is the same byte for byte;
+# tests compare the two on random graphs.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_block(items, depth: int, brackets: str = "[]") -> str:
+    """An array (or, with brackets "{}", an object) laid out as json.dumps
+    with indent=2 lays it out at nesting depth `depth`; items are the
+    members already rendered, object members as '"key": value'."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _json_graph(vertex_items, edges) -> str:
+    """The document {"vertices": [...], "edges": [[i, j], ...]} with the
+    vertices already rendered at depth 2, plus a newline."""
+    edge_items = [f"[\n      {i},\n      {j}\n    ]" for i, j in edges]
+    members = [
+        f'"vertices": {_json_block(vertex_items, 1)}',
+        f'"edges": {_json_block(edge_items, 1)}',
+    ]
+    return _json_block(members, 0, "{}") + "\n"
+
+
+def _json_vertex(v: Vertex) -> str:
+    exps = "null" if v.exponents is None else _json_block([str(e) for e in v.exponents], 3)
+    members = [
+        f'"label": {_json_str(v.label)}',
+        f'"exponents": {exps}',
+        f'"size": {"null" if v.size is None else v.size}',
+        f'"loop": {"true" if v.loop else "false"}',
+    ]
+    return _json_block(members, 2, "{}")
+
+
 def to_json(g: CompressedGraph) -> str:
-    """Canonical JSON: vertices sorted by label, edges as [i, j] with i < j."""
-    payload = {
-        "vertices": [
-            {
-                "label": v.label,
-                "exponents": list(v.exponents) if v.exponents is not None else None,
-                "size": v.size,
-                "loop": v.loop,
-            }
-            for v in g.vertices
-        ],
-        "edges": [list(e) for e in g.edges],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Canonical JSON: vertices sorted by label, edges as [i, j] with i < j.
+
+    The text is json.dumps(payload, indent=2) plus a newline, for the
+    payload {"vertices": [{"label", "exponents", "size", "loop"}, ...],
+    "edges": [[i, j], ...]}."""
+    return _json_graph([_json_vertex(v) for v in g.vertices], g.edges)
 
 
 def from_json(text: str) -> CompressedGraph:

@@ -218,12 +218,19 @@ class _IntModel(_ZeroPatternKeys):
         self.size = n
         self.row_block = max(1, 2**21 // n)
 
-    def mul_rows(self, rows) -> np.ndarray:
+    def _cols(self, cols, dtype) -> np.ndarray:
+        if cols is None:
+            return np.arange(self.n, dtype=dtype)
+        return np.asarray(cols, dtype=dtype)
+
+    def mul_rows(self, rows, cols=None) -> np.ndarray:
+        """The products rows x cols: entry [a, b] is rows[a] * cols[b] mod n.
+        cols=None means every residue, so row a is a full table row."""
         # a product of two residues is below n^2, which fits in uint32 up to
         # n = 2^16; there the blocks take half the memory of int64 ones
         dtype = np.uint32 if self.n <= 2**16 else np.int64
         r = np.asarray(rows, dtype=dtype)
-        prod = r[:, None] * np.arange(self.n, dtype=dtype)
+        prod = r[:, None] * self._cols(cols, dtype)
         # p - (p // n) * n: numpy divides by a scalar faster than it takes
         # a remainder
         quot = prod // self.n
@@ -231,9 +238,10 @@ class _IntModel(_ZeroPatternKeys):
         prod -= quot
         return prod
 
-    def add_rows(self, rows) -> np.ndarray:
+    def add_rows(self, rows, cols=None) -> np.ndarray:
+        """The sums rows x cols, with cols as in mul_rows."""
         r = np.asarray(rows, dtype=np.int64)
-        return (r[:, None] + np.arange(self.n, dtype=np.int64)) % self.n
+        return (r[:, None] + self._cols(cols, np.int64)) % self.n
 
     def element(self, i: int):
         return int(i)
@@ -251,13 +259,19 @@ class _VectorModel:
     structure tensor M[i,j,t] gives the coefficient of basis monomial t in
     the product of basis monomials i and j.  Both rings are commutative,
     so M is symmetric in i and j.
+
+    mul_rows(rows, cols) and add_rows(rows, cols) return the block of
+    products or sums rows x cols as element indices; cols=None means every
+    element, so row a is a full table row.  A block's int64 intermediate
+    holds len(rows) x len(cols) x k digits, which row_block rows of full
+    width keep near 4 MB.
     """
 
     def __init__(self, p: int, struct: np.ndarray):
         self.p = p
         self.k = struct.shape[0]
         self.size = p**self.k
-        self.row_block = max(1, 2**19 // self.size)
+        self.row_block = max(1, 2**19 // (self.size * self.k))
         self.scan_block = max(1, 2**18 // self.k**2)
         self.M = struct
         self.radix = p ** np.arange(self.k, dtype=np.int64)
@@ -275,12 +289,12 @@ class _VectorModel:
     def _digitize(self, idx: np.ndarray) -> np.ndarray:
         return (idx[:, None] // self.radix) % self.p
 
-    def _all_digits(self) -> np.ndarray:
+    def _col_digits(self, cols) -> np.ndarray:
         if self._digits is None:
             raise RingTooLarge(
                 f"table operations need at most {SCAN_LIMIT} elements, ring has {self.size}"
             )
-        return self._digits
+        return self._digits if cols is None else self._digits[np.asarray(cols, dtype=np.int64)]
 
     def mul_matrices(self, rows) -> np.ndarray:
         """L[r,i,t] = sum_j r_j*M[i,j,t] mod p: row i of L_r holds the
@@ -288,8 +302,8 @@ class _VectorModel:
         r = self._digitize(np.asarray(rows, dtype=np.int64))
         return np.tensordot(r, self.M, axes=([1], [1])) % self.p
 
-    def mul_rows(self, rows) -> np.ndarray:
-        digits = self._all_digits()
+    def mul_rows(self, rows, cols=None) -> np.ndarray:
+        digits = self._col_digits(cols)
         return (np.matmul(digits, self.mul_matrices(rows)) % self.p) @ self.radix
 
     def scan_keys(self, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -304,8 +318,8 @@ class _VectorModel:
         rank = _row_reduce(reduced, self.p, self._inverse)
         return reduced.reshape(len(reduced), self.k**2), self.p ** (self.k - rank)
 
-    def add_rows(self, rows) -> np.ndarray:
-        digits = self._all_digits()
+    def add_rows(self, rows, cols=None) -> np.ndarray:
+        digits = self._col_digits(cols)
         r = self._digitize(np.asarray(rows, dtype=np.int64))
         s = (r[:, None, :] + digits[None, :, :]) % self.p
         return s @ self.radix
@@ -368,6 +382,13 @@ class _BivarModel(_VectorModel):
 
 
 class _QuotModel(_ZeroPatternKeys):
+    """Cosets of an ideal of a base model, indexed by their least member.
+
+    mul_rows(rows, cols) and add_rows(rows, cols) return the block of
+    products or sums rows x cols as coset indices; cols=None means every
+    coset.  The base multiplies only the representatives it is given.
+    """
+
     def __init__(self, spec: QuotientRing):
         base = ring_table(spec.base).model
         if base.size > SCAN_LIMIT:
@@ -382,7 +403,7 @@ class _QuotModel(_ZeroPatternKeys):
         for x in range(base.size):
             if coset_id[x] >= 0:
                 continue
-            coset = base.add_rows([x])[0][ideal]
+            coset = base.add_rows([x], ideal)[0]
             coset_id[coset] = len(reps)
             reps.append(x)
         self.base = base
@@ -391,13 +412,14 @@ class _QuotModel(_ZeroPatternKeys):
         self.size = len(reps)
         self.row_block = max(1, 2**21 // base.size)
 
-    def mul_rows(self, rows) -> np.ndarray:
-        r = self.reps[np.asarray(rows, dtype=np.int64)]
-        return self.coset_id[self.base.mul_rows(r)[:, self.reps]]
+    def _reps(self, idx) -> np.ndarray:
+        return self.reps if idx is None else self.reps[np.asarray(idx, dtype=np.int64)]
 
-    def add_rows(self, rows) -> np.ndarray:
-        r = self.reps[np.asarray(rows, dtype=np.int64)]
-        return self.coset_id[self.base.add_rows(r)[:, self.reps]]
+    def mul_rows(self, rows, cols=None) -> np.ndarray:
+        return self.coset_id[self.base.mul_rows(self._reps(rows), self._reps(cols))]
+
+    def add_rows(self, rows, cols=None) -> np.ndarray:
+        return self.coset_id[self.base.add_rows(self._reps(rows), self._reps(cols))]
 
     def element(self, i: int):
         return self.base.element(int(self.reps[i]))
@@ -462,7 +484,7 @@ def _ideal_indices(model, gen_indices) -> np.ndarray:
     for part in parts[1:]:
         members = np.zeros(model.size, dtype=bool)
         for start in range(0, len(part), model.row_block):
-            members[model.add_rows(part[start : start + model.row_block])[:, ideal]] = True
+            members[model.add_rows(part[start : start + model.row_block], ideal)] = True
         ideal = np.flatnonzero(members)
     return ideal
 
@@ -703,7 +725,7 @@ def oracle_compressed_graph(spec, loops: bool) -> CompressedGraph:
     ring = ring_table(spec)
     scan, model = ring.scan, ring.model
     reps = [scan.groups[gid].first for gid in scan.zd_gids]
-    table = model.mul_rows(reps)[:, reps] == 0 if reps else np.zeros((0, 0), dtype=bool)
+    table = model.mul_rows(reps, reps) == 0 if reps else np.zeros((0, 0), dtype=bool)
     verts = []
     for pos, gid in enumerate(scan.zd_gids):
         g = scan.groups[gid]
@@ -733,7 +755,7 @@ def full_zero_divisor_graph(spec) -> Graph:
     block = model.row_block
     for start in range(0, len(zd), block):
         chunk = zd[start : start + block]
-        zero = model.mul_rows(chunk)[:, zd] == 0
+        zero = model.mul_rows(chunk, zd) == 0
         # local row i is element start + i; keep the columns right of it
         rows, cols = np.nonzero(np.triu(zero, start + 1))
         edges.extend(zip((rows + start).tolist(), cols.tolist()))
@@ -783,12 +805,12 @@ def quotient_by_ideal(spec, gens: list) -> QuotientRing:
 
 def mul_elements(spec, a, b):
     model = ring_table(spec).model
-    return model.element(int(model.mul_rows([model.index(a)])[0][model.index(b)]))
+    return model.element(int(model.mul_rows([model.index(a)], [model.index(b)])[0, 0]))
 
 
 def add_elements(spec, a, b):
     model = ring_table(spec).model
-    return model.element(int(model.add_rows([model.index(a)])[0][model.index(b)]))
+    return model.element(int(model.add_rows([model.index(a)], [model.index(b)])[0, 0]))
 
 
 # --- element text forms -----------------------------------------------------

@@ -432,3 +432,59 @@ class TestSerialization:
         payload = json.loads(g.to_json())
         assert payload == {"vertices": ["2", "3", "4"], "edges": [[0, 1], [1, 2]]}
         assert "n0 -- n1;" in g.to_dot()
+
+
+# labels mix quotes, backslashes, control and non-ASCII characters
+LABELS = st.text(
+    alphabet=st.sampled_from(list('ab"\\\n\t\x7f') + ["\u00e9", "\u2202", "\U0001d53d"]),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def graphs_with_metadata(draw):
+    labels = draw(st.lists(LABELS, max_size=8, unique=True))
+    loops = draw(st.booleans())
+    verts = tuple(
+        Vertex(
+            label,
+            exponents=draw(st.none() | st.lists(st.integers(0, 40), max_size=3)),
+            size=draw(st.none() | st.integers(1, 10**12)),
+            loop=loops and draw(st.booleans()),
+        )
+        for label in labels
+    )
+    pairs = list(itertools.combinations(range(len(verts)), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return CompressedGraph(verts, tuple(edges), loops)
+
+
+class TestJsonWriter:
+    """The graph JSON is written without json.dumps; its text must be the
+    bytes json.dumps(payload, indent=2) gives, plus a newline."""
+
+    @given(graphs_with_metadata())
+    @settings(max_examples=200, deadline=None)
+    def test_compressed_graph_matches_json_dumps(self, g):
+        payload = {
+            "vertices": [
+                {
+                    "label": v.label,
+                    "exponents": list(v.exponents) if v.exponents is not None else None,
+                    "size": v.size,
+                    "loop": v.loop,
+                }
+                for v in g.vertices
+            ],
+            "edges": [list(e) for e in g.edges],
+        }
+        assert to_json(g) == json.dumps(payload, indent=2) + "\n"
+
+    @given(graphs_with_metadata())
+    @settings(max_examples=200, deadline=None)
+    def test_graph_matches_json_dumps(self, cg):
+        g = Graph(tuple(v.label for v in cg.vertices), cg.edges)
+        payload = {"vertices": list(g.labels), "edges": [list(e) for e in g.edges]}
+        assert g.to_json() == json.dumps(payload, indent=2) + "\n"
+

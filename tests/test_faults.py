@@ -73,9 +73,11 @@ class WrongProduct:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def mul_rows(self, idx):
-        rows = np.array(self.model.mul_rows(idx))
-        rows[np.asarray(idx) == self.model.index(self.a), self.model.index(self.b)] = self.value
+    def mul_rows(self, idx, cols=None):
+        rows = np.array(self.model.mul_rows(idx, cols))
+        cols = np.arange(self.model.size) if cols is None else np.asarray(cols)
+        a, b = self.model.index(self.a), self.model.index(self.b)
+        rows[np.ix_(np.asarray(idx) == a, cols == b)] = self.value
         return rows
 
 

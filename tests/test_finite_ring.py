@@ -7,6 +7,7 @@ answer to.
 
 import io
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -132,6 +133,27 @@ class TestMultiplication:
         got = ring_table(IntegersMod(n)).model.mul_rows(rows)
         for row, a in zip(got.tolist(), rows):
             assert row == [(a * x) % n for x in range(n)], a
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_column_blocks_are_full_rows_restricted(self, data):
+        spec = data.draw(
+            st.sampled_from(
+                [IntegersMod(2**16 - 1), IntegersMod(2**16), IntegersMod(2**16 + 1)]
+                + [quotient_by_ideal(F2XY, [parse_element(F2XY, "x*y")])]
+                + [quotient_by_ideal(IntegersMod(48), [12])]
+            )
+            | poly_quotients()
+            | bivariate_quotients()
+        )
+        model = ring_table(spec).model
+        index = st.integers(0, model.size - 1)
+        rows = data.draw(st.lists(index, max_size=6))
+        cols = data.draw(st.lists(index, max_size=40))
+        for op in (model.mul_rows, model.add_rows):
+            block = op(rows, cols)
+            assert block.shape == (len(rows), len(cols))
+            assert block.tolist() == op(rows)[:, cols].tolist()
 
     def test_largest_narrow_product(self):
         # (2^16 - 1)^2 = 2^32 - 2^17 + 1 is the largest uint32 product formed
@@ -404,6 +426,20 @@ class TestFullZeroDivisorGraph:
         with pytest.raises(RingTooLarge):
             full_zero_divisor_graph(IntegersMod(10001))
 
+    def test_product_blocks_memory_is_bounded(self):
+        # 511 zero-divisors in 1024 elements with 10 digits each; the blocks
+        # of products in flight are sized by rows x columns x digits
+        spec = parse_ring_spec("F2[x,y]/(x^5,y^2)")
+        ring_table(spec).scan
+        tracemalloc.start()
+        try:
+            g = full_zero_divisor_graph(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(g.labels), len(g.edges)) == (511, 5313)
+        assert peak < 16 * 2**20
+
 
 class TestCountRegularElements:
     def test_examples(self):
@@ -513,6 +549,17 @@ class TestQuotientRing:
         b = oracle_compressed_graph(direct, loops=True)
         assert [v.label for v in a.vertices] == [v.label for v in b.vertices]
         assert a.edges == b.edges
+
+    def test_quotient_by_a_small_ideal_builds_quickly(self):
+        # 8192 cosets of two elements each; the cosets are found by adding
+        # each representative to the ideal's members only
+        window = PolyQuotient(2, FpPoly(2, (0,) * 14 + (1,)))
+        start = time.perf_counter()
+        q = quotient_by_ideal(window, [FpPoly(2, (0,) * 13 + (1,))])
+        elapsed = time.perf_counter() - start
+        direct = PolyQuotient(2, FpPoly(2, (0,) * 13 + (1,)))
+        assert enumerate_elements(q) == enumerate_elements(direct)
+        assert elapsed < 3
 
     def test_no_nested_quotients(self):
         q = quotient_by_ideal(IntegersMod(48), [12])
