@@ -410,7 +410,9 @@ class _QuotModel(_ZeroPatternKeys):
         self.reps = np.asarray(reps, dtype=np.int64)
         self.coset_id = coset_id
         self.size = len(reps)
-        self.row_block = max(1, 2**21 // base.size)
+        # a block's intermediate is the base's rows x cosets products: keep
+        # the base's cell budget, counting columns as cosets
+        self.row_block = max(1, min(2**21 // base.size, base.row_block * base.size // self.size))
 
     def _reps(self, idx) -> np.ndarray:
         return self.reps if idx is None else self.reps[np.asarray(idx, dtype=np.int64)]

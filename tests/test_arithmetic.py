@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -216,27 +217,114 @@ class TestPolyGcd:
         assert poly_gcd(f, z) == f.monic()
 
 
+def trial_division_factors(f):
+    """(coefficients, exponent) of each monic irreducible factor of f, found
+    by dividing by every monic polynomial of degree up to half of what is
+    left; a divisor of least degree is irreducible."""
+    rest, out, d = f.monic(), [], 1
+    while 2 * d <= rest.degree:
+        for cand in monic_polys(f.p, d):
+            e = 0
+            while (rest % cand).is_zero:
+                rest, e = rest // cand, e + 1
+            if e:
+                out.append((cand.coeffs, e))
+        d += 1
+    if rest.degree > 0:
+        out.append((rest.coeffs, 1))
+    return sorted(out, key=lambda ce: (len(ce[0]), ce[0]))
+
+
+def factor_pairs(fact):
+    return [(irr.value.coeffs, e) for irr, e in fact.factors]
+
+
+def product(polys, p):
+    out = FpPoly(p, (1,))
+    for g in polys:
+        out = out * g
+    return out
+
+
+# Irreducible factors up to these degrees keep recheck's trial division,
+# which tries about p^(degree/2) divisors, cheap.
+_MAX_FACTOR_DEGREE = {2: 12, 3: 8, 5: 6, 7: 4, 13: 4}
+
+
+@st.composite
+def polys_with_repeated_factors(draw):
+    """unit * prod g_i^e_i over F_p, of degree 1 to 12, with random g_i."""
+    p = draw(st.sampled_from(sorted(_MAX_FACTOR_DEGREE)))
+    f = FpPoly(p, (draw(st.integers(1, p - 1)),))
+    for _ in range(draw(st.integers(1, 6))):
+        room = 12 - f.degree
+        if room == 0:
+            break
+        max_degree = min(_MAX_FACTOR_DEGREE[p], room)
+        lower = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=max_degree))
+        g = FpPoly(p, (*lower, 1))
+        e = draw(st.integers(1, 3))
+        f = f * product([g] * min(e, room // g.degree), p)
+    return f
+
+
 class TestFactorPolynomial:
-    def brute_irreducible(self, f):
-        for d in range(1, f.degree // 2 + 1):
-            for cand in monic_polys(f.p, d):
-                if (f % cand).is_zero:
-                    return False
-        return True
+    @pytest.mark.parametrize("p,max_degree", [(2, 7), (3, 4), (5, 3), (7, 3)])
+    def test_matches_trial_division_exhaustively(self, p, max_degree):
+        for deg in range(1, max_degree + 1):
+            for f in monic_polys(p, deg):
+                expected = trial_division_factors(f)
+                for unit in range(1, p):
+                    fact = factor_polynomial(f * unit)
+                    assert (fact.unit, factor_pairs(fact)) == (unit, expected), (f, unit)
 
-    def test_round_trip_all_f2_to_deg4(self):
-        for deg in range(1, 5):
-            for f in monic_polys(2, deg):
-                fact = factor_polynomial(f)
-                assert fact.value() == f
-                assert all(self.brute_irreducible(irr.value) for irr in fact.irreducibles())
+    @given(polys_with_repeated_factors())
+    def test_factors_are_canonical_and_irreducible(self, f):
+        fact = factor_polynomial(f)
+        assert fact.value() == f
+        irrs = fact.irreducibles()
+        assert all(irr.value.is_monic() for irr in irrs)
+        keys = [irr.sort_key() for irr in irrs]
+        assert keys == sorted(set(keys))
+        assert all(irr.recheck() for irr in irrs)
 
-    def test_round_trip_all_f3_to_deg3(self):
-        for deg in range(1, 4):
-            for f in monic_polys(3, deg):
-                fact = factor_polynomial(f)
-                assert fact.value() == f
-                assert all(self.brute_irreducible(irr.value) for irr in fact.irreducibles())
+    def test_trace_split_over_f2(self):
+        # both factors have degree 4, so only the equal-degree split (by the
+        # trace map, since p = 2) can separate them
+        f, g = parse_poly_pretty("x^4+x^3+1", 2), parse_poly_pretty("x^4+x+1", 2)
+        assert factor_pairs(factor_polynomial(f * g)) == [(f.coeffs, 1), (g.coeffs, 1)]
+
+    def test_odd_characteristic_split(self):
+        # two irreducible quadratics over F_3, split by a^((3^2 - 1) / 2) - 1
+        f, g = parse_poly_pretty("x^2+1", 3), parse_poly_pretty("x^2+x+2", 3)
+        assert factor_pairs(factor_polynomial(f * g)) == [(f.coeffs, 1), (g.coeffs, 1)]
+
+    def test_pth_power(self):
+        # (x^2+1)^3 has derivative 0 over F_3: its cube root is taken
+        f = parse_poly_pretty("x^2+1", 3)
+        assert factor_pairs(factor_polynomial(f * f * f)) == [(f.coeffs, 3)]
+
+    def test_mixed_multiplicities(self):
+        # x^3 (x+1)^2 over F_2
+        fact = factor_polynomial(parse_poly_pretty("x^5+x^3", 2))
+        assert factor_pairs(fact) == [((0, 1), 3), ((1, 1), 2)]
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            ["x^128+x^7+x^2+x+1"],
+            ["x+1", "x^63+x+1", "x^64+x^4+x^3+x+1"],
+        ],
+    )
+    def test_degree_128_over_f2_is_fast(self, factors):
+        # trial division would try more than 2^63 divisors
+        irrs = [parse_poly_pretty(g, 2) for g in factors]
+        f = product(irrs, 2)
+        assert f.degree == 128
+        start = time.perf_counter()
+        fact = factor_polynomial(f)
+        assert time.perf_counter() - start < 2
+        assert factor_pairs(fact) == [(g.coeffs, 1) for g in irrs]
 
     def test_round_trip_nonmonic(self):
         f = FpPoly(5, (2, 0, 3))  # 3x^2 + 2
@@ -357,6 +445,12 @@ class TestSerialization:
                     for d in range(2):
                         f = FpPoly(2, (a, b, c, d))
                         assert parse_poly_pretty(format_poly_pretty(f), 2) == f
+
+    @given(st.data(), st.sampled_from((2, 3, 5, 7, 13, 10**9 + 7)))
+    def test_round_trips(self, data, p):
+        f = FpPoly(p, tuple(data.draw(st.lists(st.integers(0, p - 1), max_size=12))))
+        assert parse_poly_pretty(format_poly_pretty(f), p) == f
+        assert parse_poly_compact(format_poly_compact(f)) == f
 
     def test_pretty_parse_tolerates_spaces(self):
         assert parse_poly_pretty("x^2 + 2*x + 1", 3) == FpPoly(3, (1, 2, 1))

@@ -51,6 +51,14 @@ class TestCompress:
         assert "vertex 6  loop" in lines
         assert "edge 2 -- 6" in lines
 
+    @pytest.mark.parametrize("ring", ["F2[x]/(x^40+x^5+x^4+x^3+1)", "F2[x]/(x^31+x^3+1)"])
+    def test_irreducible_modulus_is_fast(self, capsys, ring):
+        # a field, so no zero-divisors; trial division would try about 2^21
+        # and 2^16 divisors
+        start = time.perf_counter()
+        assert invoke(capsys, "compress", ring) == (0, "", "")
+        assert time.perf_counter() - start < 2
+
 
 class TestGraph:
     def test_z8_table(self, capsys):

@@ -561,6 +561,22 @@ class TestQuotientRing:
         assert enumerate_elements(q) == enumerate_elements(direct)
         assert elapsed < 3
 
+    def test_quotient_blocks_memory_is_bounded(self):
+        # 2048 cosets of a ring with 12 digits: a block of products in flight
+        # holds rows x cosets x digits base entries
+        window = PolyQuotient(2, FpPoly(2, (0,) * 12 + (1,)))
+        q = quotient_by_ideal(window, [FpPoly(2, (0,) * 11 + (1,))])
+        ring_table(q).model
+        tracemalloc.start()
+        try:
+            regular = count_regular_elements(q)
+            g = oracle_compressed_graph(q, loops=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (regular, len(g.vertices)) == (1025, 10)
+        assert peak < 16 * 2**20
+
     def test_no_nested_quotients(self):
         q = quotient_by_ideal(IntegersMod(48), [12])
         with pytest.raises(ValueError):
