@@ -6,6 +6,12 @@ iso (isomorphism query), verify (cross-validation sweeps), conjecture
 usage errors, a size bound or a prime that cannot be certified, 3
 isomorphism budget exhaustion, 4 verification failure.
 All output is byte-deterministic for fixed inputs.
+
+_cmd_conjecture is the one place that runs conjecture scans, and its table
+is the one map from a conjecture id to its checker. It prints each verdict
+line and writes each --report line as soon as that instance is checked, so
+a run stopped by an error partway keeps the lines of the instances checked
+before it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import nullcontext
 
 from .arithmetic import UncertifiedPrime, factor_integer, factor_polynomial
 from .compressed_graph import graph_from_factorization, to_dot, to_json
@@ -146,25 +153,33 @@ def _cmd_conjecture(args, out) -> int:
         instances = _load_instances(args.number, args.instances)
     else:
         instances = default_instances(args.number, args.max_n)
+    # the one conjecture id -> checker table; each lambda looks its checker
+    # up in this module at call time, so a wrapper bound over
+    # zdgraph.cli.check_conjecture1 sees every call
     checkers = {
         1: lambda inst: check_conjecture1(*inst, budget=args.budget),
         2: lambda inst: check_conjecture2(*inst),
         3: lambda inst: check_conjecture3(*inst),
         4: lambda inst: check_conjecture4(*inst, budget=args.budget),
     }
-    reports = [checkers[args.number](inst) for inst in instances]
-    for report in reports:
-        print(f"{report.verdict:<16}{report.instance}", file=out)
-    counts = Counter(report.verdict for report in reports)
+    check = checkers[args.number]
+    counts: Counter = Counter()
+    # line-buffered: each report line is in the file before the next check
+    report_file = (
+        open(args.report, "w", encoding="utf-8", buffering=1) if args.report else nullcontext()
+    )
+    with report_file as fh:
+        for inst in instances:
+            report = check(inst)
+            print(f"{report.verdict:<16}{report.instance}", file=out)
+            if fh is not None:
+                fh.write(report_to_json(report) + "\n")
+            counts[report.verdict] += 1
     print(
-        f"checked {len(reports)}: {counts['supported']} supported, "
+        f"checked {sum(counts.values())}: {counts['supported']} supported, "
         f"{counts['counterexample']} counterexample, {counts['skipped']} skipped",
         file=out,
     )
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            for report in reports:
-                fh.write(report_to_json(report) + "\n")
     return 0
 
 

@@ -15,6 +15,10 @@ truncation artifact rather than a counterexample.
 Conjectures 2-4 set up each (ring, generators) instance once, as a _Window,
 and predicted graphs come from compressed_graph.basis_graph, the one builder
 of the adjacency rule v + w >= some generator's exponent vector.
+
+Each check takes one instance and returns one report. default_instances
+lists each conjecture's default scan; the CLI's conjecture command is the
+one place that runs a scan, streaming each report as it is made.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 
 from .arithmetic import (
     FpPoly,
@@ -299,27 +303,20 @@ def generalized_basis(ambient, union_gens) -> list:
 @dataclass(frozen=True)
 class _RingSides:
     """The per-ring half of a conjecture-1 check; kept in the ring table, so
-    it holds only immutable values."""
+    it holds only immutable values. The unlooped comparison reads the looped
+    graph with its loops ignored, so no unlooped graph is kept."""
 
     full: CompressedGraph  # the full graph's compressed view
     full_digest: str
     looped: CompressedGraph
     looped_digest: str
-    unlooped: CompressedGraph
     regular: int
 
 
 def _ring_sides(spec) -> _RingSides:
     full = full_zero_divisor_graph(spec).as_compressed()
     looped = oracle_compressed_graph(spec, loops=True)
-    return _RingSides(
-        full,
-        _digest(full),
-        looped,
-        _digest(looped),
-        oracle_compressed_graph(spec, loops=False),
-        count_regular_elements(spec),
-    )
+    return _RingSides(full, _digest(full), looped, _digest(looped), count_regular_elements(spec))
 
 
 def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureReport:
@@ -353,7 +350,7 @@ def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureR
     try:
         compressed_iso = graphs_isomorphic(r1.looped, r2.looped, budget=budget).isomorphic
         unlooped_iso = graphs_isomorphic(
-            r1.unlooped, r2.unlooped, respect_loops=False, budget=budget
+            r1.looped, r2.looped, respect_loops=False, budget=budget
         ).isomorphic
     except SearchBudgetExceeded:
         return _skip(1, instance, details, "compressed-graph search exceeded the node budget")
@@ -393,7 +390,7 @@ def _sample_indices(size: int):
     return range(0, size, step)
 
 
-def check_conjecture2(ambient, union_gens, sample=None) -> ConjectureReport:
+def check_conjecture2(ambient, union_gens) -> ConjectureReport:
     """Classes of a and of gcd({a} and the generators) must coincide."""
     instance = _instance_string(ambient, union_gens)
     details: dict = {}
@@ -404,18 +401,13 @@ def check_conjecture2(ambient, union_gens, sample=None) -> ConjectureReport:
     quotient, qmodel, scan = window.quotient, window.model, window.scan
     details["quotient_graph_digest"] = _digest(oracle_compressed_graph(quotient, loops=True))
     amodel = ring_table(ambient).model
-    if sample is None:
-        elems = [amodel.element(i) for i in _sample_indices(amodel.size)]
-        details["sample"] = (
-            "all window elements"
-            if amodel.size <= SAMPLE_LIMIT
-            else f"every {-(-amodel.size // SAMPLE_LIMIT)}th window element"
-        )
-    else:
-        elems = list(sample)
-        details["sample"] = f"caller-provided list of {len(elems)}"
+    details["sample"] = (
+        "all window elements"
+        if amodel.size <= SAMPLE_LIMIT
+        else f"every {-(-amodel.size // SAMPLE_LIMIT)}th window element"
+    )
     checked = 0
-    for a in elems:
+    for a in (amodel.element(i) for i in _sample_indices(amodel.size)):
         g = _ufd_gcd(ambient, a, union_gens)
         ca = scan.class_ids[qmodel.index(a)]
         cg = scan.class_ids[qmodel.index(g)]
@@ -611,18 +603,18 @@ def check_conjecture4(
     return ConjectureReport(4, instance, "counterexample", details)
 
 
-# --- instance families and scan drivers ---------------------------------------
+# --- instance families ------------------------------------------------------
 
 
 def default_instances(conjecture: int, max_n: int | None = None):
-    """Deterministic instance tuples for each conjecture's default scan."""
+    """Deterministic instance tuples for each conjecture's default scan.
+
+    Conjecture 1's pairs (Z/n1, Z/n2), n1 < n2, come lazily from one list of
+    rings, so they share the ring objects and never stand in memory at once;
+    the other conjectures' short lists are built whole."""
     if conjecture == 1:
         top = 100 if max_n is None else max_n
-        return [
-            (IntegersMod(n1), IntegersMod(n2))
-            for n1 in range(2, top + 1)
-            for n2 in range(n1 + 1, top + 1)
-        ]
+        return combinations([IntegersMod(n) for n in range(2, top + 1)], 2)
     f2 = lambda *coeffs: FpPoly(2, coeffs)
     f3 = lambda *coeffs: FpPoly(3, coeffs)
     xy33 = BivariateMonomialQuotient(2, ((3, 0), (0, 3)))
@@ -677,29 +669,6 @@ def default_instances(conjecture: int, max_n: int | None = None):
             ),
         ]
     raise ValueError("conjecture id must be 1, 2, 3, or 4")
-
-
-def scan_conjecture(
-    conjecture: int,
-    instances=None,
-    max_n: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> list[ConjectureReport]:
-    if instances is None:
-        instances = default_instances(conjecture, max_n)
-    out = []
-    for args in instances:
-        if conjecture == 1:
-            out.append(check_conjecture1(*args, budget=budget))
-        elif conjecture == 2:
-            out.append(check_conjecture2(*args))
-        elif conjecture == 3:
-            out.append(check_conjecture3(*args))
-        elif conjecture == 4:
-            out.append(check_conjecture4(*args, budget=budget))
-        else:
-            raise ValueError("conjecture id must be 1, 2, 3, or 4")
-    return out
 
 
 def parse_instance_line(conjecture: int, line: str):

@@ -9,7 +9,13 @@ import time
 
 from zdgraph.arithmetic import FpPoly, factor_integer, factor_polynomial
 from zdgraph.compressed_graph import signature, vertex_count, zero_divisor_basis
-from zdgraph.conjectures import report_to_json, scan_conjecture
+from zdgraph.conjectures import (
+    check_conjecture1,
+    check_conjecture2,
+    check_conjecture3,
+    default_instances,
+    report_to_json,
+)
 from zdgraph.finite_ring import (
     BivariateMonomialQuotient,
     IntegersMod,
@@ -188,8 +194,8 @@ def test_blowup_reconstructs_full_graphs():
 
 def test_conjecture_harness_sanity():
     problems = []
-    for conjecture in (2, 3):
-        for report in scan_conjecture(conjecture):
+    for conjecture, check in ((2, check_conjecture2), (3, check_conjecture3)):
+        for report in (check(*i) for i in default_instances(conjecture)):
             if report.verdict == "counterexample":
                 problems.append(f"conjecture {conjecture}: {report.instance}")
             principal = "," not in report.instance.split("|")[1]
@@ -202,8 +208,8 @@ def test_conjecture_harness_sanity():
                     f"conjecture {conjecture} principal instance not supported: "
                     f"{report.instance}"
                 )
-    first = scan_conjecture(1, max_n=100)
-    second = scan_conjecture(1, max_n=100)
+    first = [check_conjecture1(*i) for i in default_instances(1, 100)]
+    second = [check_conjecture1(*i) for i in default_instances(1, 100)]
     lines_first = [report_to_json(r) for r in first]
     lines_second = [report_to_json(r) for r in second]
     if lines_first != lines_second:

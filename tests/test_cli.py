@@ -1,12 +1,15 @@
 """CLI behavior: spec'd examples, exit-code protocol, determinism."""
 
 import hashlib
+import io
 import json
 import time
 
 import pytest
 
+from zdgraph import cli
 from zdgraph.cli import run
+from zdgraph.conjectures import report_to_json
 
 
 def invoke(capsys, *argv):
@@ -304,6 +307,57 @@ class TestConjecture:
             "skipped         F2[x,y]/(x^2,y^2) | x+y",
             "checked 1: 0 supported, 0 counterexample, 1 skipped",
         ]
+
+
+class TestConjectureStreaming:
+    """The conjecture command writes each instance's lines before the next
+    instance is checked, and opens --report before the first check."""
+
+    def test_lines_are_out_before_the_next_check(self, monkeypatch, tmp_path):
+        out = io.StringIO()
+        report_path = tmp_path / "reports.jsonl"
+        reports = []
+        check = cli.check_conjecture1
+
+        def checking_checker(spec1, spec2, budget):
+            if len(reports) == 1:
+                first = reports[0]
+                assert out.getvalue() == f"{first.verdict:<16}{first.instance}\n"
+                assert report_path.read_text() == report_to_json(first) + "\n"
+            reports.append(check(spec1, spec2, budget=budget))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "check_conjecture1", checking_checker)
+        argv = ["conjecture", "1", "--max-n", "4", "--report", str(report_path)]
+        assert run(argv, out=out) == 0
+        assert len(reports) == 3
+        assert out.getvalue().splitlines()[-1] == (
+            "checked 3: 2 supported, 1 counterexample, 0 skipped"
+        )
+
+    def test_error_partway_keeps_the_lines_before_it(self, capsys, tmp_path):
+        instances = tmp_path / "instances.txt"
+        instances.write_text("Z/8 | Z/6\nZ/8 | Z/20000\n")
+        report_path = tmp_path / "reports.jsonl"
+        code, out, err = invoke(
+            capsys, "conjecture", "1", "--instances", str(instances),
+            "--report", str(report_path),
+        )
+        assert code == 2
+        assert "full graph needs at most 10000 elements" in err
+        assert out == "counterexample  Z/8 | Z/6\n"
+        lines = report_path.read_text().splitlines()
+        assert [json.loads(line)["instance"] for line in lines] == ["Z/8 | Z/6"]
+
+    def test_unopenable_report_exits_before_any_check(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "check_conjecture1", lambda *a, **k: calls.append(a))
+        code, out, err = invoke(
+            capsys, "conjecture", "1", "--max-n", "4",
+            "--report", str(tmp_path / "missing" / "reports.jsonl"),
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: [Errno 2]")
 
 
 class TestDeterminism:

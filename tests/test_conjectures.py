@@ -24,7 +24,6 @@ from zdgraph.conjectures import (
     generalized_basis,
     parse_instance_line,
     report_to_json,
-    scan_conjecture,
 )
 from zdgraph.finite_ring import (
     BivariateMonomialQuotient,
@@ -172,11 +171,12 @@ class TestConjecture2:
         assert "union_witness" in report.details
 
     def test_ideal_element_sample(self):
-        # a inside the ideal: both classes collapse to the zero class
-        report = check_conjecture2(IntegersMod(48), [12], sample=[12, 24, 36, 0])
+        # the default sample is every window element, so it includes the
+        # ideal's members 0, 12, 24 and 36, whose classes collapse to zero
+        report = check_conjecture2(IntegersMod(48), [12])
         assert report.verdict == "supported"
-        assert report.details["checked"] == 4
-        assert report.details["sample"] == "caller-provided list of 4"
+        assert report.details["checked"] == 48
+        assert report.details["sample"] == "all window elements"
 
     def test_unit_generator_skips(self):
         report = check_conjecture2(IntegersMod(48), [1])
@@ -445,7 +445,7 @@ class TestRingTable:
 
 class TestScans:
     def test_conjecture2_defaults(self):
-        reports = scan_conjecture(2)
+        reports = [check_conjecture2(*i) for i in default_instances(2)]
         verdicts = [r.verdict for r in reports]
         assert verdicts.count("counterexample") == 0
         # every exact-window instance is an instance of the proven theorem
@@ -454,14 +454,14 @@ class TestScans:
                 assert r.verdict == "supported", r.instance
 
     def test_conjecture3_defaults(self):
-        reports = scan_conjecture(3)
+        reports = [check_conjecture3(*i) for i in default_instances(3)]
         assert [r.verdict for r in reports].count("counterexample") == 0
         for r in reports:
             if r.details.get("window_exact"):
                 assert r.verdict == "supported", r.instance
 
     def test_conjecture4_defaults(self):
-        reports = scan_conjecture(4)
+        reports = [check_conjecture4(*i) for i in default_instances(4)]
         assert [r.verdict for r in reports] == [
             "supported",
             "supported",
@@ -472,26 +472,41 @@ class TestScans:
         ]
 
     def test_conjecture1_small_scan(self):
-        reports = scan_conjecture(1, max_n=20)
+        reports = [check_conjecture1(*i) for i in default_instances(1, 20)]
         by_instance = {r.instance: r for r in reports}
         assert len(reports) == 19 * 18 // 2
         assert by_instance["Z/6 | Z/8"].verdict == "counterexample"
         assert all(r.verdict in ("supported", "counterexample") for r in reports)
 
     def test_default_instance_counts(self):
-        assert len(default_instances(1, 10)) == 9 * 8 // 2
-        assert len(default_instances(2, None)) == 31
-        assert len(default_instances(4, None)) == 6
+        assert len(list(default_instances(1, 10))) == 9 * 8 // 2
+        assert len(list(default_instances(2, None))) == 31
+        assert len(list(default_instances(4, None))) == 6
+
+    def test_conjecture1_pairs_keep_the_nested_loop_order(self):
+        nested = [
+            (IntegersMod(n1), IntegersMod(n2))
+            for n1 in range(2, 13)
+            for n2 in range(n1 + 1, 13)
+        ]
+        assert list(default_instances(1, 12)) == nested
+
+    def test_conjecture1_pairs_are_lazy_and_share_rings(self):
+        pairs = default_instances(1, 12)
+        assert not isinstance(pairs, (list, tuple))
+        (a, b), (c, d) = next(pairs), next(pairs)
+        assert (a.n, b.n, d.n) == (2, 3, 4)
+        assert c is a
 
 
 class TestReports:
     def test_json_is_deterministic(self):
-        lines1 = [report_to_json(r) for r in scan_conjecture(4)]
-        lines2 = [report_to_json(r) for r in scan_conjecture(4)]
+        lines1 = [report_to_json(check_conjecture4(*i)) for i in default_instances(4)]
+        lines2 = [report_to_json(check_conjecture4(*i)) for i in default_instances(4)]
         assert lines1 == lines2
 
     def test_json_is_parseable(self):
-        for r in scan_conjecture(2):
+        for r in (check_conjecture2(*i) for i in default_instances(2)):
             payload = json.loads(report_to_json(r))
             assert payload["conjecture"] == 2
             assert payload["verdict"] in ("supported", "counterexample", "skipped")

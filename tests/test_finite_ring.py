@@ -583,22 +583,26 @@ class TestQuotientRing:
             QuotientRing(q, (2,))
 
 
-class TestElementText:
-    def test_int_round_trip(self):
-        spec = IntegersMod(12)
-        for x in range(12):
-            assert parse_element(spec, element_label(spec, x)) == x
+def ring_specs(max_n=10**6):
+    """Z/n up to max_n, F_p[x]/(f) and F_p[x,y] modulo a minimal monomial ideal."""
+    return st.one_of(
+        st.integers(2, max_n).map(IntegersMod), poly_quotients(), bivariate_quotients()
+    )
 
-    def test_poly_round_trip(self):
-        spec = PolyQuotient(2, FpPoly(2, (0, 0, 0, 1)))
+
+class TestElementText:
+    @given(ring_specs(max_n=256).filter(lambda spec: ring_size(spec) <= 256))
+    @example(IntegersMod(12))
+    @example(PolyQuotient(2, FpPoly(2, (0, 0, 0, 1))))
+    @example(BivariateMonomialQuotient(2, ((3, 0), (0, 3))))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_element_round_trips(self, spec):
         for x in enumerate_elements(spec):
             assert parse_element(spec, element_label(spec, x)) == x
-        assert parse_element(spec, "x+1") == FpPoly(2, (1, 1))
 
-    def test_bivar_round_trip(self):
-        spec = BivariateMonomialQuotient(2, ((3, 0), (0, 3)))
-        for x in enumerate_elements(spec)[:64]:
-            assert parse_element(spec, element_label(spec, x)) == x
+    def test_poly_text_parses(self):
+        spec = PolyQuotient(2, FpPoly(2, (0, 0, 0, 1)))
+        assert parse_element(spec, "x+1") == FpPoly(2, (1, 1))
 
     def test_bivar_formatting(self):
         spec = BivariateMonomialQuotient(3, ((2, 0), (0, 2)))
@@ -620,11 +624,14 @@ class TestElementText:
 
 
 class TestGrammar:
-    def test_canonical_round_trips(self):
+    @given(ring_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_round_trips(self, spec):
+        assert parse_ring_spec(format_ring_spec(spec)) == spec
+
+    def test_canonical_texts(self):
         for text in ("Z/12", "F2[x]/(x^3)", "F2[x,y]/(x^2,x*y,y^2)", "F3[x]/(x^2+1)"):
-            spec = parse_ring_spec(text)
-            assert format_ring_spec(spec) == text
-            assert parse_ring_spec(format_ring_spec(spec)) == spec
+            assert format_ring_spec(parse_ring_spec(text)) == text
 
     def test_spec_variants_parse(self):
         assert parse_ring_spec("Z/8") == IntegersMod(8)
