@@ -424,6 +424,9 @@ GOLDEN_DIGESTS = {
     "conjecture 2 --instances S23 --report REPORT": "0c507c4d4f3fd678b8f9ec1bb26dcbc4f9a918589307fbffb2f7cc7ced74bb2b",
     "conjecture 3 --instances S23 --report REPORT": "efb4a9768cbd910ecbf7b6f22cece1cc06418adb22e2a615c59d5c78c02bc585",
     "conjecture 4 --instances S4 --report REPORT": "b83324e23e4047fbcc05696eb38232bdb962d7418955e1892ac2280d0fd6770e",
+    # recorded while conjecture 1 still ran a full-graph search per pair
+    "conjecture 1 --max-n 100 --report REPORT": "95953458c9f417442bf74c54d6df62dd1d6b2d455631ac88421cc6d84cf67fbd",
+    "conjecture 1 --instances C1X --report REPORT": "b60719b8c207c4de31fd4501770bf727a4c3911e61456f86db78cd762ca07d3a",
 }
 
 # Instance files named in GOLDEN_DIGESTS commands, for branches the default
@@ -432,6 +435,15 @@ GOLDEN_DIGESTS = {
 # a non-union ideal, and conjecture-4 side and pattern skips.
 GOLDEN_INSTANCES = {
     "C1": "Z/16 | F2[x]/(x^4)\nZ/9 | F3[x]/(x^2)\n",
+    # same-size rings of two families: the first three pairs have isomorphic
+    # full graphs (7, 8 and 24 vertices), the two bivariate pairs do not
+    "C1X": (
+        "Z/16 | F2[x]/(x^4+1)\n"
+        "Z/27 | F3[x]/(x^3+1)\n"
+        "Z/125 | F5[x]/(x^3+3*x^2+3*x+1)\n"
+        "Z/16 | F2[x,y]/(x^2,y^2)\n"
+        "F2[x]/(x^4) | F2[x,y]/(x^2,y^2)\n"
+    ),
     "C23": "Z/20 | 6\nF2[x]/(x^3) | x^2+x\nZ/48 | 12, 8\nZ/48 | 12\nF2[x,y]/(x^2,y^2) | x*y, x\n",
     "C4": (
         "Z/12 | 0 | Z/8 | 2\n"
