@@ -41,6 +41,7 @@ __all__ = [
     "signature",
     "vertex_count",
     "expand_to_full_graph",
+    "twin_quotient",
     "to_json",
     "from_json",
     "to_dot",
@@ -386,6 +387,57 @@ def expand_to_full_graph(g: CompressedGraph) -> Graph:
             for b in groups[j]:
                 edges.append((a, b))
     return Graph(tuple(labels), tuple(edges))
+
+
+def twin_quotient(g: Graph) -> tuple[CompressedGraph, tuple[tuple[str, ...], ...]]:
+    """The inverse of expand_to_full_graph: g's twin classes as vertices.
+
+    x and y are twins when N(x) - {y} = N(y) - {x}. A twin class is a
+    clique (equal closed neighbourhoods) or an independent set (equal open
+    ones), never both, so it becomes one vertex with size the class size
+    and a loop when it is a clique of two or more; classes are adjacent
+    when their members are. Any isomorphism maps twin classes onto twin
+    classes, so two graphs are isomorphic exactly when their quotients are,
+    sizes and loops included. Each vertex is labeled by its class's first
+    member; the second value lists each class's members, aligned with the
+    quotient's vertices.
+    """
+    import numpy as np  # imported here for the reason given in _basis_edges
+
+    n = len(g.labels)
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([ends[:, 1], ends[:, 0]])
+    # neighbourhoods as packed bit rows: open, then closed (with the vertex)
+    hoods = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(hoods, (rows, cols >> 3), np.uint8(128) >> (cols & 7).astype(np.uint8))
+    open_keys = [row.tobytes() for row in hoods]
+    ids = np.arange(n)
+    hoods[ids, ids >> 3] |= np.uint8(128) >> (ids & 7).astype(np.uint8)
+    closed_keys = [row.tobytes() for row in hoods]
+    by_open: dict[bytes, list[int]] = {}
+    by_closed: dict[bytes, list[int]] = {}
+    for v in range(n):
+        by_open.setdefault(open_keys[v], []).append(v)
+        by_closed.setdefault(closed_keys[v], []).append(v)
+    # first member -> (members, clique); filled in order of first members
+    classes: dict[int, tuple[list[int], bool]] = {}
+    for v in range(n):
+        group = by_open[open_keys[v]]
+        if len(group) == 1:
+            group = by_closed[closed_keys[v]]
+            classes.setdefault(group[0], (group, len(group) > 1))
+        else:
+            classes.setdefault(group[0], (group, False))
+    firsts = list(classes)
+    verts = tuple(
+        Vertex(g.labels[v], size=len(classes[v][0]), loop=classes[v][1]) for v in firsts
+    )
+    reps = np.array(firsts, dtype=np.int64)
+    adjacent = np.unpackbits(hoods[reps], axis=1, count=n)[:, reps].astype(bool)
+    qrows, qcols = np.nonzero(np.triu(adjacent, 1))
+    members = tuple(tuple(g.labels[m] for m in classes[v][0]) for v in firsts)
+    return CompressedGraph(verts, tuple(zip(qrows.tolist(), qcols.tolist())), True), members
 
 
 # --- serialization ----------------------------------------------------------

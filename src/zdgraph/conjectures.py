@@ -16,6 +16,11 @@ Conjectures 2-4 set up each (ring, generators) instance once, as a _Window,
 and predicted graphs come from compressed_graph.basis_graph, the one builder
 of the adjacency rule v + w >= some generator's exponent vector.
 
+Conjecture 1 keeps one record per ring in the ring's table: canonical keys
+(isomorphism.canonical_form) of the full graph's twin quotient and of the
+compressed graph with and without loops, digests and the regular-element
+count. A pair is then decided by comparing keys, with no search per pair.
+
 Each check takes one instance and returns one report. default_instances
 lists each conjecture's default scan; the CLI's conjecture command is the
 one place that runs a scan, streaming each report as it is made.
@@ -42,6 +47,7 @@ from .compressed_graph import (
     basis_graph,
     graph_from_exponents,
     to_json as graph_json,
+    twin_quotient,
 )
 from .finite_ring import (
     SCAN_LIMIT,
@@ -63,7 +69,12 @@ from .finite_ring import (
     ring_table,
     standard_monomials,
 )
-from .isomorphism import DEFAULT_BUDGET, SearchBudgetExceeded, graphs_isomorphic
+from .isomorphism import (
+    DEFAULT_BUDGET,
+    SearchBudgetExceeded,
+    canonical_form,
+    graphs_isomorphic,
+)
 
 SAMPLE_LIMIT = 5000
 _TRUNCATION = "window truncation artifact; ambient hypothesis unmet"
@@ -93,7 +104,11 @@ def _skip(conjecture: int, instance: str, details: dict, reason: str) -> Conject
 
 
 def _digest(g) -> str:
-    return hashlib.sha256(graph_json(g).encode()).hexdigest()[:16]
+    return _text_digest(graph_json(g))
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _gen_label(ambient, g) -> str:
@@ -301,59 +316,77 @@ def generalized_basis(ambient, union_gens) -> list:
 
 
 @dataclass(frozen=True)
-class _RingSides:
-    """The per-ring half of a conjecture-1 check; kept in the ring table, so
-    it holds only immutable values. The unlooped comparison reads the looped
-    graph with its loops ignored, so no unlooped graph is kept."""
+class _RingKeys:
+    """The per-ring half of a conjecture-1 check, kept in the ring table.
 
-    full: CompressedGraph  # the full graph's compressed view
+    Three canonical keys, each with the search nodes it took: the full
+    graph's twin quotient with loops and sizes, the looped compressed graph,
+    and the same graph with its loops ignored. A key whose search ran past
+    DEFAULT_BUDGET is None with nodes = inf, so every budget skips it. The
+    rest is what a report prints. No graph object is kept."""
+
+    twin_key: tuple | None
+    twin_nodes: float
+    looped_key: tuple | None
+    looped_nodes: float
+    unlooped_key: tuple | None
+    unlooped_nodes: float
+    full_size: int
     full_digest: str
-    looped: CompressedGraph
     looped_digest: str
+    looped_json: str
     regular: int
 
 
-def _ring_sides(spec) -> _RingSides:
-    full = full_zero_divisor_graph(spec).as_compressed()
+def _key(g: CompressedGraph, **flags) -> tuple:
+    try:
+        form = canonical_form(g, budget=DEFAULT_BUDGET, **flags)
+    except SearchBudgetExceeded:
+        return None, math.inf
+    return form.key, form.nodes
+
+
+def _ring_keys(spec) -> _RingKeys:
+    full = full_zero_divisor_graph(spec)
+    twins, _ = twin_quotient(full)
     looped = oracle_compressed_graph(spec, loops=True)
-    return _RingSides(full, _digest(full), looped, _digest(looped), count_regular_elements(spec))
+    looped_json = graph_json(looped)
+    return _RingKeys(
+        *_key(twins, respect_sizes=True),
+        *_key(looped),
+        *_key(looped, respect_loops=False),
+        len(full.labels),
+        _digest(full.as_compressed()),
+        _text_digest(looped_json),
+        looped_json,
+        count_regular_elements(spec),
+    )
 
 
 def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureReport:
     """Full-graph isomorphism against the compressed-graph-and-count test.
 
-    Each ring's graphs, digests and regular-element count are built once
-    and kept in its ring table, so a ring that appears in many pairs pays
-    for them once; every pair still runs its own isomorphism searches."""
+    Each ring's canonical keys, digests and regular-element count are made
+    once and kept in its ring table, so a pair is decided by comparing keys:
+    the full graphs are isomorphic exactly when their twin quotients are
+    (see twin_quotient), and the compressed graphs when their keys are
+    equal. A pair whose key took more than budget search nodes is skipped;
+    the node counts come from the table, so the verdict is the same whether
+    the table was built for this pair or an earlier one."""
     instance = f"{format_ring_spec(spec1)} | {format_ring_spec(spec2)}"
     details: dict = {}
-    r1 = ring_table(spec1).keep(_ring_sides)
-    r2 = ring_table(spec2).keep(_ring_sides)
-    details["full_graph_sizes"] = [len(r1.full.vertices), len(r2.full.vertices)]
+    r1 = ring_table(spec1).keep(_ring_keys)
+    r2 = ring_table(spec2).keep(_ring_keys)
+    details["full_graph_sizes"] = [r1.full_size, r2.full_size]
     details["full_graph_digests"] = [r1.full_digest, r2.full_digest]
-    try:
-        lhs = graphs_isomorphic(r1.full, r2.full, respect_loops=False, budget=budget).isomorphic
-    except SearchBudgetExceeded:
-        # isomorphic size-preserving compressed graphs blow up to isomorphic
-        # full graphs; any other outcome leaves the full-graph side undecided
-        try:
-            lhs = graphs_isomorphic(
-                r1.looped, r2.looped, respect_loops=True, respect_sizes=True, budget=budget
-            ).isomorphic
-        except SearchBudgetExceeded:
-            lhs = False
-        if not lhs:
-            reason = "full-graph isomorphism search exceeded the node budget"
-            return _skip(1, instance, details, reason)
-        details["full_isomorphism_via"] = "size-preserving compressed blow-up"
-
-    try:
-        compressed_iso = graphs_isomorphic(r1.looped, r2.looped, budget=budget).isomorphic
-        unlooped_iso = graphs_isomorphic(
-            r1.looped, r2.looped, respect_loops=False, budget=budget
-        ).isomorphic
-    except SearchBudgetExceeded:
+    if max(r1.twin_nodes, r2.twin_nodes) > budget:
+        return _skip(1, instance, details, "full-graph isomorphism search exceeded the node budget")
+    nodes = (r1.looped_nodes, r2.looped_nodes, r1.unlooped_nodes, r2.unlooped_nodes)
+    if max(nodes) > budget:
         return _skip(1, instance, details, "compressed-graph search exceeded the node budget")
+    lhs = r1.twin_key == r2.twin_key
+    compressed_iso = r1.looped_key == r2.looped_key
+    unlooped_iso = r1.unlooped_key == r2.unlooped_key
     counts = [r1.regular, r2.regular]
     rhs = compressed_iso and counts[0] == counts[1]
     details.update(
@@ -375,7 +408,7 @@ def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureR
         else "compressed-and-count test passes but full graphs are not isomorphic"
     )
     details["witness_graphs"] = {
-        "compressed_looped": [json.loads(graph_json(r.looped)) for r in (r1, r2)],
+        "compressed_looped": [json.loads(r.looped_json) for r in (r1, r2)],
     }
     return ConjectureReport(1, instance, "counterexample", details)
 

@@ -1,11 +1,18 @@
 """Exact graph isomorphism for compressed zero-divisor graphs.
 
-Decisions are made by backtracking search over a color partition produced by
-iterated neighborhood refinement. Cheap invariants (vertex count, loop count,
-degree multiset) answer most negative instances before any search happens;
-when they all agree the search itself is the separating certificate. Every
-positive answer carries a vertex pairing that is re-verified edge by edge
-before it is returned.
+graphs_isomorphic decides one pair by backtracking search over a color
+partition produced by iterated neighborhood refinement. Cheap invariants
+(vertex count, loop count, degree multiset) answer most negative instances
+before any search happens; when they all agree the search itself is the
+separating certificate. Every positive answer carries a vertex pairing that
+is re-verified edge by edge before it is returned.
+
+canonical_form gives one graph a key that is equal for two graphs exactly
+when they are isomorphic, so many graphs are compared by comparing keys. It
+searches by individualization and refinement, pruning children that a
+found automorphism maps onto a child already searched (McKay & Piperno,
+Practical graph isomorphism, II, J. Symbolic Comput. 60, 2014), and
+re-checks its key by relabeling the graph before it is returned.
 """
 
 from __future__ import annotations
@@ -212,6 +219,172 @@ def graphs_isomorphic(
             raise AssertionError("internal error: witness failed verification")
         return IsoReport(True, pairs, None, nodes)
     return IsoReport(False, None, "search exhaustion", nodes)
+
+
+@dataclass(frozen=True)
+class CanonicalForm:
+    """A graph's canonical key, the labeling that gives it, and its cost.
+
+    key is the graph renumbered by labeling: the (loop, size) pair of the
+    vertex at each position, then the edges as position pairs i < j, sorted.
+    Loops read False and sizes 0 when they are not respected. labeling[i]
+    is the position of vertex i; nodes counts search-tree nodes visited.
+    """
+
+    key: tuple
+    labeling: tuple[int, ...]
+    nodes: int
+
+
+def _attributes(g: CompressedGraph, respect_loops: bool, respect_sizes: bool) -> list:
+    if respect_sizes and any(v.size is None for v in g.vertices):
+        raise ValueError("respect_sizes requires every vertex to carry a size")
+    return [
+        (v.loop if respect_loops else False, v.size if respect_sizes else 0)
+        for v in g.vertices
+    ]
+
+
+def _equitable(colors: list[int], adj: list[set[int]]) -> list[int]:
+    """Refine colors 0..k-1 until a vertex's color fixes the multiset of
+    its neighbours' colors. A new color is the rank of (old color, sorted
+    neighbour colors), so cells split in place and no vertex index shows in
+    the result: relabeling the graph relabels the refined colors alike."""
+    count = len(set(colors))
+    while True:
+        sig = [(c, tuple(sorted(colors[u] for u in nbrs))) for c, nbrs in zip(colors, adj)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colors = [rank[s] for s in sig]
+        if len(rank) == count:
+            return colors
+        count = len(rank)
+
+
+def _canonical_search(attrs: list, adj: list[set[int]], budget: int):
+    """(key, labeling, nodes) of the least leaf certificate.
+
+    A node is an equitable ordered partition; its children individualize
+    each vertex of its first smallest non-singleton cell. Two leaves with
+    one certificate give an automorphism that fixes their common ancestor's
+    individualized vertices and maps the later leaf's subtree at that
+    ancestor onto the earlier one's, which is searched: the search returns
+    to the ancestor. A child is also skipped when an automorphism found so
+    far that fixes the node's individualized vertices maps it onto a child
+    already searched: its subtree holds the same certificates.
+    """
+    n = len(attrs)
+    rank = {a: i for i, a in enumerate(sorted(set(attrs)))}
+    edges = [(u, w) for u in range(n) for w in adj[u] if u < w]
+    first = best = None  # (certificate, labeling, individualized vertices)
+    autos: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def leaf(pos, fixed):
+        """Record a leaf; return the depth of the ancestor to resume at."""
+        nonlocal first, best
+        pairs = sorted((pos[u], pos[w]) if pos[u] < pos[w] else (pos[w], pos[u]) for u, w in edges)
+        by_pos = [None] * n
+        for v, p in enumerate(pos):
+            by_pos[p] = attrs[v]
+        cert = (tuple(by_pos), tuple(pairs))
+        if first is None:
+            first = best = (cert, pos, fixed)
+        elif cert in (first[0], best[0]):
+            _, seen, path = first if cert == first[0] else best
+            at = [0] * n
+            for v, p in enumerate(seen):
+                at[p] = v
+            autos.append(tuple(at[p] for p in pos))
+            common = 0
+            while path[common] == fixed[common]:
+                common += 1
+            return common
+        elif cert < best[0]:
+            best = (cert, pos, fixed)
+        return len(fixed)
+
+    def node(colors, fixed):
+        """Count one node. Return its frame, or for a leaf the depth to
+        resume at. A frame is the node's colors, its individualized
+        vertices, the target cell's members still to try (last first) and
+        those already searched."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"canonical search exceeded budget of {budget} nodes")
+        sizes = [0] * n
+        for c in colors:
+            sizes[c] += 1
+        cells = [c for c in range(n) if sizes[c] > 1]
+        if not cells:
+            return leaf(tuple(colors), fixed)
+        target = min(cells, key=lambda c: (sizes[c], c))
+        return colors, fixed, [u for u in reversed(range(n)) if colors[u] == target], []
+
+    # depth-first with an explicit stack, so that a deep tree fits; the
+    # frame at stack[d] has d individualized vertices
+    root = node(_equitable([rank[a] for a in attrs], adj), ())
+    stack = [] if isinstance(root, int) else [root]
+    while stack:
+        colors, fixed, untried, searched = stack[-1]
+        if not untried:
+            stack.pop()
+            continue
+        v = untried.pop()
+        stabilizer = [a for a in autos if all(a[f] == f for f in fixed)]
+        if searched and _in_orbit(v, searched, stabilizer):
+            continue
+        searched.append(v)
+        target = colors[v]
+        child = [c + (c > target or (c == target and u != v)) for u, c in enumerate(colors)]
+        frame = node(_equitable(child, adj), fixed + (v,))
+        if isinstance(frame, int):
+            del stack[frame + 1 :]
+        else:
+            stack.append(frame)
+    return best[0], best[1], nodes
+
+
+def _in_orbit(v: int, targets: list[int], generators) -> bool:
+    """Whether the group the generators make maps v onto one of targets."""
+    parent: dict[int, int] = {}
+
+    def root(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for perm in generators:
+        for x, y in enumerate(perm):
+            a, b = root(x), root(y)
+            if a != b:
+                parent[a] = b
+    return any(root(v) == root(t) for t in targets)
+
+
+def canonical_form(
+    g: CompressedGraph,
+    respect_loops: bool = True,
+    respect_sizes: bool = False,
+    budget: int = DEFAULT_BUDGET,
+) -> CanonicalForm:
+    """The canonical key of g: equal keys, under the same two flags, mean
+    isomorphic graphs in the sense of graphs_isomorphic with those flags.
+
+    Raises SearchBudgetExceeded when the search needs more than budget
+    nodes. The key is checked before it is returned: g renamed by the
+    labeling, in CompressedGraph's own canonical order, must read as the
+    key.
+    """
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    attrs = _attributes(g, respect_loops, respect_sizes)
+    key, labeling, nodes = _canonical_search(attrs, _adjacency(g), budget)
+    width = len(str(len(attrs)))
+    renamed = g.relabel([f"{p:0{width}d}" for p in labeling])
+    if (tuple(_attributes(renamed, respect_loops, respect_sizes)), renamed.edges) != key:
+        raise AssertionError("internal error: canonical labeling failed verification")
+    return CanonicalForm(key, labeling, nodes)
 
 
 def signature_sufficient(fact1, fact2) -> bool:

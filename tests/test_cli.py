@@ -416,7 +416,8 @@ GOLDEN_DIGESTS = {
     "conjecture 2 --max-n 4 --report REPORT": "a61d1ca9da0dea1217c85232e0b1f327b9f1d7275409612da61f4c555a5bb424",
     "conjecture 3 --max-n 4 --report REPORT": "0c9d2691973320d0b8e42272f841c1fc75e6a701d201a220ad2141be7c4c4b3c",
     "conjecture 4 --report REPORT": "408f9d80a0f39244199074607032433e752b4083506485eb5c7dd5005debb77f",
-    "conjecture 1 --instances C1 --budget 1 --report REPORT": "f54242022535402098fba123919f44d2aeb9bb592180bf6edcaf046f43c2a6c1",
+    # re-recorded when conjecture 1 began comparing per-ring canonical keys
+    "conjecture 1 --instances C1 --budget 1 --report REPORT": "e8f770a31967bcc522c43c36e2300cc7472dd7710ddbe6c2ee818d4d5f89d848",
     "conjecture 2 --instances C23 --report REPORT": "35a7566b1fd2557a4bebec87cc9a459d3cfd063a5512a198f1145ace8d1a6a1a",
     "conjecture 3 --instances C23 --report REPORT": "48bb60e4d10ddc4c74591785dfda2cda0c6dd555f13dc52c2442e255a9081d2a",
     "conjecture 4 --instances C4 --report REPORT": "e04ba1a19dec96dc65aca617857bdb52f0a6896c7ae3787b70543bd1b5cbc2f6",
@@ -430,11 +431,13 @@ GOLDEN_DIGESTS = {
 }
 
 # Instance files named in GOLDEN_DIGESTS commands, for branches the default
-# instances miss: the conjecture-1 budget fallback (skipped, and decided by
-# the size-preserving blow-up), a conjecture-3 basis element that is a unit,
-# a non-union ideal, and conjecture-4 side and pattern skips.
+# instances miss: the two conjecture-1 budget skips (at budget 1, the
+# unlooped compressed key of Z/16 and the twin-quotient key of
+# F2[x,y]/(x^2,y^2) each take more than one node), a conjecture-3 basis
+# element that is a unit, a non-union ideal, and conjecture-4 side and
+# pattern skips.
 GOLDEN_INSTANCES = {
-    "C1": "Z/16 | F2[x]/(x^4)\nZ/9 | F3[x]/(x^2)\n",
+    "C1": "Z/16 | F2[x]/(x^4)\nZ/9 | F3[x]/(x^2)\nZ/16 | F2[x,y]/(x^2,y^2)\n",
     # same-size rings of two families: the first three pairs have isomorphic
     # full graphs (7, 8 and 24 vertices), the two bivariate pairs do not
     "C1X": (

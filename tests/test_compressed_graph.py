@@ -1,8 +1,11 @@
 """Basis-path graphs checked against direct modular arithmetic on divisors."""
 
+import importlib.util
 import itertools
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +28,11 @@ from zdgraph.compressed_graph import (
     signature,
     to_dot,
     to_json,
+    twin_quotient,
     vertex_count,
     zero_divisor_basis,
 )
+from zdgraph.finite_ring import full_zero_divisor_graph, parse_ring_spec
 
 
 SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
@@ -319,6 +324,65 @@ class TestExpandToFullGraph:
         g = CompressedGraph((Vertex("a", size=2),), (), loops_admitted=False)
         with pytest.raises(ValueError):
             expand_to_full_graph(g)
+
+
+def _perfbench_conjecture1_rings():
+    """Every ring the benchmark's conjecture-1 workload can draw."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return sorted({s for line in workloads.conj_pool() for s in line.split(" | ")})
+
+
+def expands_back(g: Graph) -> bool:
+    """Whether expanding g's twin quotient, with each expanded vertex
+    renamed to the member it stands for, gives g again."""
+    quotient, members = twin_quotient(g)
+    name = {
+        f"{v.label}#{t}": label
+        for v, labels in zip(quotient.vertices, members)
+        for t, label in enumerate(labels, 1)
+    }
+    expanded = expand_to_full_graph(quotient)
+    return expanded.relabel([name[s] for s in expanded.labels]) == g
+
+
+class TestTwinQuotient:
+    def test_z16(self):
+        # {2,6,10,14} share N = {8}; 4 and 12 are adjacent with N[4] = N[12]
+        quotient, members = twin_quotient(full_zero_divisor_graph(parse_ring_spec("Z/16")))
+        assert quotient == CompressedGraph(
+            (Vertex("10", size=4), Vertex("12", size=2, loop=True), Vertex("8", size=1)),
+            ((0, 2), (1, 2)),
+            loops_admitted=True,
+        )
+        assert members == (("10", "14", "2", "6"), ("12", "4"), ("8",))
+
+    @pytest.mark.parametrize("n", range(2, 201))
+    def test_expands_back_on_integers(self, n):
+        assert expands_back(full_zero_divisor_graph(parse_ring_spec(f"Z/{n}")))
+
+    def test_expands_back_on_benchmark_rings(self):
+        rings = _perfbench_conjecture1_rings()
+        assert len(rings) == 38
+        for ring in rings:
+            assert expands_back(full_zero_divisor_graph(parse_ring_spec(ring))), ring
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_expands_back_on_any_graph(self, data):
+        n = data.draw(st.integers(0, 10))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        assert expands_back(Graph(tuple(f"v{i}" for i in range(n)), tuple(edges)))
+
+    def test_quotient_has_no_twins(self):
+        g = full_zero_divisor_graph(parse_ring_spec("F2[x,y]/(x^3,y^3)"))
+        quotient, _ = twin_quotient(g)
+        again, _ = twin_quotient(Graph(tuple(v.label for v in quotient.vertices), quotient.edges))
+        assert len(again.vertices) == len(quotient.vertices)
 
 
 class TestCanonicalForm:

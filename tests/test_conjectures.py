@@ -6,6 +6,7 @@ counterexample family for conjecture 1.
 """
 
 import io
+import itertools
 import json
 import random
 
@@ -30,9 +31,13 @@ from zdgraph.finite_ring import (
     IntegersMod,
     PolyQuotient,
     element_label,
+    format_ring_spec,
+    full_zero_divisor_graph,
+    oracle_compressed_graph,
     parse_element,
     parse_ring_spec,
 )
+from zdgraph.isomorphism import graphs_isomorphic
 
 
 def f2(*coeffs):
@@ -121,12 +126,27 @@ class TestConjecture1:
         assert report.verdict == "supported"
         assert report.details["regular_element_counts"] == [7, 7]
 
-    def test_budget_exhaustion_skips(self):
-        report = check_conjecture1(
-            IntegersMod(16), PolyQuotient(2, f2(0, 0, 0, 0, 1)), budget=1
-        )
+    @pytest.mark.parametrize(
+        "pair, nodes, reason",
+        [
+            # the compressed graph of Z/210 is the proper subsets of four
+            # primes; its symmetries leave refinement with cells to split
+            (("Z/210", "Z/330"), 10, "compressed-graph search exceeded the node budget"),
+            # the twin quotient of F2[x,y]/(x^2,y^2) is a star of three
+            # like cliques, so its key needs more than the root node
+            (
+                ("Z/16", "F2[x,y]/(x^2,y^2)"),
+                6,
+                "full-graph isomorphism search exceeded the node budget",
+            ),
+        ],
+    )
+    def test_budget_exhaustion_skips(self, pair, nodes, reason):
+        specs = [parse_ring_spec(s) for s in pair]
+        report = check_conjecture1(*specs, budget=nodes - 1)
         assert report.verdict == "skipped"
-        assert "budget" in report.details["reason"]
+        assert report.details["reason"] == reason
+        assert check_conjecture1(*specs, budget=nodes).verdict == "supported"
 
     def test_size_mismatch_counterexample_direction(self):
         # compressed graphs and counts agree but the class sizes distribute
@@ -137,6 +157,72 @@ class TestConjecture1:
             "compressed-and-count test passes but full graphs are not isomorphic"
         )
         assert report.details["full_graph_sizes"] == [8, 13]
+
+
+def _partitions(k, top=None):
+    top = k if top is None else top
+    if k == 0:
+        yield ()
+    for h in range(min(k, top), 0, -1):
+        for rest in _partitions(k - h, h):
+            yield (h,) + rest
+
+
+def rings_of_order(p, k):
+    """Z/p^k, every F_p[x]/(f) with f monic of degree k, and F_p[x,y] modulo
+    every minimal monomial ideal whose staircase has k cells."""
+    rings = [IntegersMod(p**k)]
+    rings += [
+        PolyQuotient(p, FpPoly(p, tail + (1,)))
+        for tail in itertools.product(range(p), repeat=k)
+    ]
+    for heights in _partitions(k):
+        gens = {(len(heights), 0), (0, heights[0])}
+        gens |= {(a, heights[a]) for a in range(1, len(heights)) if heights[a] < heights[a - 1]}
+        rings.append(BivariateMonomialQuotient(p, tuple(gens)))
+    return rings
+
+
+class TestSameOrderPairs:
+    """Rings of one order from three families, where the full graphs,
+    compressed graphs and regular counts can all agree or not."""
+
+    def test_keys_agree_with_search(self, tmp_path):
+        pairs = [
+            pair
+            for p, top in ((2, 5), (3, 3), (5, 2), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1),
+                           (23, 1), (29, 1), (31, 1))
+            for k in range(1, top + 1)
+            for pair in itertools.combinations(rings_of_order(p, k), 2)
+        ]
+        assert len(pairs) == 3937
+        lines = "".join(f"{format_ring_spec(a)} | {format_ring_spec(b)}\n" for a, b in pairs)
+        (tmp_path / "pairs").write_text(lines)
+        argv = ["conjecture", "1", "--instances", str(tmp_path / "pairs"),
+                "--report", str(tmp_path / "report.jsonl")]
+        assert run(argv, out=io.StringIO()) == 0
+        graphs, seen = {}, set()
+        for (a, b), line in zip(pairs, (tmp_path / "report.jsonl").read_text().splitlines()):
+            for spec in (a, b):
+                if spec not in graphs:
+                    graphs[spec] = (
+                        full_zero_divisor_graph(spec).as_compressed(),
+                        oracle_compressed_graph(spec, loops=True),
+                    )
+            (full1, looped1), (full2, looped2) = graphs[a], graphs[b]
+            details = json.loads(line)["details"]
+            verdicts = [
+                details["full_graphs_isomorphic"],
+                details["compressed_looped_isomorphic"],
+                details["compressed_unlooped_isomorphic"],
+            ]
+            seen.update(enumerate(verdicts))
+            assert verdicts == [
+                graphs_isomorphic(full1, full2, respect_loops=False).isomorphic,
+                graphs_isomorphic(looped1, looped2).isomorphic,
+                graphs_isomorphic(looped1, looped2, respect_loops=False).isomorphic,
+            ], line
+        assert seen == {(i, v) for i in range(3) for v in (True, False)}
 
 
 class TestConjecture2:

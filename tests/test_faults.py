@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zdgraph import conjectures, sweeps
+from zdgraph import conjectures, isomorphism, sweeps
 from zdgraph.arithmetic import FpPoly, factor_integer
 from zdgraph.cli import run
 from zdgraph.compressed_graph import CompressedGraph, Graph, graph_from_factorization
@@ -224,6 +224,22 @@ class TestNzLemma:
         out = sweeps.nz_lemma_sweep([IntegersMod(8), Z12])
         assert out.failures == ("IntegersMod(n=12): a regular multiple changed class",)
         assert out.checked == 4 * 8
+
+
+class TestCanonicalForm:
+    """The key against the graph renamed by the labeling the search returns."""
+
+    def test_swapped_labeling(self, monkeypatch):
+        # Z/12 with loops is the path 2 - 6 - 4 - 3 with a loop at 6, which
+        # has no symmetry, so swapping two positions breaks the relabeling
+        def fault(result, *args):
+            key, labeling, nodes = result
+            return key, (labeling[1], labeling[0]) + labeling[2:], nodes
+
+        plant(monkeypatch, isomorphism, "_canonical_search", fault)
+        with pytest.raises(AssertionError) as failure:
+            isomorphism.canonical_form(graph_from_factorization(F12, loops=True))
+        assert str(failure.value) == "internal error: canonical labeling failed verification"
 
 
 class TestSignatureSufficiency:

@@ -4,6 +4,7 @@ Witness soundness is re-checked here with an independent edge-by-edge
 verifier rather than trusting the one inside the module.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from zdgraph.isomorphism import (
     IsoReport,
     SearchBudgetExceeded,
     _verify_witness,
+    canonical_form,
     graphs_isomorphic,
     signature_sufficient,
 )
@@ -227,6 +229,119 @@ class TestWitnessCheck:
         assert r.isomorphic
         image = dict(r.witness)
         assert g1.relabel([image[v.label] for v in g1.vertices]) == g2
+
+
+@st.composite
+def attributed_graphs(draw, max_n=9):
+    """A graph with loop flags and sizes on every vertex."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    loops = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return CompressedGraph(
+        tuple(Vertex(f"v{i}", size=s, loop=l) for i, (l, s) in enumerate(zip(loops, sizes))),
+        tuple(edges),
+        loops_admitted=True,
+    )
+
+
+FLAGS = [(True, False), (False, False), (True, True), (False, True)]
+
+
+class TestCanonicalForm:
+    @settings(max_examples=80, deadline=None)
+    @given(attributed_graphs(), st.data())
+    def test_relabeling_keeps_the_key(self, g, data):
+        h = g.relabel(data.draw(st.permutations([f"w{i}" for i in range(len(g.vertices))])))
+        for loops, sizes in FLAGS:
+            assert canonical_form(g, loops, sizes).key == canonical_form(h, loops, sizes).key
+
+    @settings(max_examples=150, deadline=None)
+    @given(attributed_graphs(), st.data())
+    def test_key_equality_is_isomorphism(self, g, data):
+        # a relabeled copy with a few degree-preserving edge switches and
+        # its loop flags and sizes shuffled among the vertices: every
+        # invariant graphs_isomorphic tests first still agrees
+        n = len(g.vertices)
+        edges = set(g.edges)
+        for _ in range(data.draw(st.integers(0, 3))):
+            if len(edges) < 2:
+                break
+            (a, b), (c, d) = data.draw(st.lists(st.sampled_from(sorted(edges)), min_size=2, max_size=2, unique=True))
+            new = {tuple(sorted(e)) for e in ((a, d), (c, b))}
+            if len(new) == 2 and all(x != y for x, y in new) and not new & edges:
+                edges = (edges - {(a, b), (c, d)}) | new
+        attrs = data.draw(st.permutations([(v.loop, v.size) for v in g.vertices]))
+        h = CompressedGraph(
+            tuple(Vertex(f"v{i}", size=s, loop=l) for i, (l, s) in enumerate(attrs)),
+            tuple(edges),
+            loops_admitted=True,
+        ).relabel(data.draw(st.permutations([f"w{i}" for i in range(n)])))
+        for loops, sizes in FLAGS:
+            same = canonical_form(g, loops, sizes).key == canonical_form(h, loops, sizes).key
+            assert same == graphs_isomorphic(g, h, loops, sizes).isomorphic
+
+    def test_key_is_the_graph_renumbered_by_the_labeling(self):
+        g = graph_from_factorization(factor_integer(72), loops=True)
+        form = canonical_form(g)
+        by_position = sorted(range(len(g.vertices)), key=form.labeling.__getitem__)
+        assert form.key[0] == tuple((g.vertices[v].loop, 0) for v in by_position)
+        assert form.key[1] == tuple(
+            sorted(tuple(sorted((form.labeling[i], form.labeling[j]))) for i, j in g.edges)
+        )
+
+    @pytest.mark.parametrize("with_k4", [False, True])
+    def test_regular_graph_keys(self, with_k4):
+        # the Frucht graph is 3-regular, so refinement leaves one cell, and
+        # its only automorphism is the identity, so every vertex of that
+        # cell leads to a different leaf and all of them must be searched.
+        # Beside a K4, also 3-regular, the search meets automorphisms below
+        # the root and returns to the ancestor they fix, not further up.
+        lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+        edges = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
+        edges |= {tuple(sorted((i, (i + d) % 12))) for i, d in enumerate(lcf)}
+        n = 12
+        if with_k4:
+            edges |= set(combinations(range(12, 16), 2))
+            n = 16
+        g = plain([f"v{i:02d}" for i in range(n)], sorted(edges))
+        key = canonical_form(g).key
+        rng = random.Random(0)
+        for _ in range(10):
+            names = [f"w{i:02d}" for i in range(n)]
+            rng.shuffle(names)
+            assert canonical_form(g.relabel(names)).key == key
+        assert canonical_form(g).nodes > 12
+
+    def test_refinement_alone_is_one_node(self):
+        # Z/16: 2 -- 8 -- 4 with loops at 4 and 8; loops tell 2 from 4
+        g = graph_from_factorization(factor_integer(16), loops=True)
+        assert canonical_form(g).nodes == 1
+        assert canonical_form(g, respect_loops=False).nodes == 3
+
+    def test_symmetric_graph_is_pruned(self):
+        # the proper divisors of 2*3*5*7*11 under v + w >= s: the group
+        # permuting the five primes has 120 elements
+        g = graph_from_factorization(factor_integer(2310), loops=False)
+        assert 1 < canonical_form(g).nodes < 120
+
+    def test_cycle_and_triangles_differ(self):
+        assert canonical_form(CYCLE6).key != canonical_form(TRIANGLES).key
+
+    def test_empty_graph(self):
+        assert canonical_form(plain("", [])) == canonical_form(plain("", []))
+        assert canonical_form(plain("", [])).nodes == 1
+
+    def test_budget_raises(self):
+        with pytest.raises(SearchBudgetExceeded, match="canonical search exceeded budget of 2 nodes"):
+            canonical_form(CYCLE6, budget=2)
+        with pytest.raises(ValueError):
+            canonical_form(CYCLE6, budget=0)
+
+    def test_sizes_required_when_respected(self):
+        with pytest.raises(ValueError):
+            canonical_form(plain("a", []), respect_sizes=True)
 
 
 class TestRingFixtures:
