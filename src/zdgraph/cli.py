@@ -21,6 +21,8 @@ import json
 import sys
 from collections import Counter
 from contextlib import nullcontext
+from functools import cache
+from itertools import islice
 
 from .arithmetic import UncertifiedPrime, factor_integer, factor_polynomial
 from .compressed_graph import graph_from_factorization, to_dot, to_json
@@ -55,16 +57,31 @@ def compressed_for(spec, loops: bool):
     return oracle_compressed_graph(spec, loops=loops)
 
 
+# Lines joined into one write by _write_lines: a whole table as one string
+# would hold a second copy of the output in memory.
+_CHUNK_LINES = 4096
+
+
+def _write_lines(lines, out) -> None:
+    """Write each line and a newline, as print would, in joined chunks."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        out.write("\n".join(chunk) + "\n")
+
+
+def _vertex_line(v) -> str:
+    parts = [f"vertex {v.label}"]
+    if v.size is not None:
+        parts.append(f"size {v.size}")
+    if v.loop:
+        parts.append("loop")
+    return "  ".join(parts)
+
+
 def _print_compressed_table(g, out) -> None:
-    for v in g.vertices:
-        parts = [f"vertex {v.label}"]
-        if v.size is not None:
-            parts.append(f"size {v.size}")
-        if v.loop:
-            parts.append("loop")
-        print("  ".join(parts), file=out)
-    for i, j in g.edges:
-        print(f"edge {g.vertices[i].label} -- {g.vertices[j].label}", file=out)
+    labels = [v.label for v in g.vertices]
+    _write_lines(map(_vertex_line, g.vertices), out)
+    _write_lines((f"edge {labels[i]} -- {labels[j]}" for i, j in g.edges), out)
 
 
 def _cmd_graph(args, out) -> int:
@@ -103,8 +120,7 @@ def _cmd_iso(args, out) -> int:
     else:
         if report.isomorphic:
             print("isomorphic", file=out)
-            for a, b in report.witness:
-                print(f"  {a} -> {b}", file=out)
+            _write_lines((f"  {a} -> {b}" for a, b in report.witness), out)
         else:
             print("not isomorphic", file=out)
             print(f"separating: {report.separating}", file=out)
@@ -203,7 +219,9 @@ _budget = _int_at_least(1, "a positive integer")
 _max_n = _int_at_least(2, "an integer of at least 2")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="zdgraph",
         description="Compressed zero-divisor graphs of quotient rings.",

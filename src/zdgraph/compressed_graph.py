@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import combinations, product as _cartesian
+from itertools import chain, combinations, islice, product as _cartesian
+from operator import itemgetter, lt
 
 from .arithmetic import (
     Factorization,
@@ -171,11 +172,17 @@ def _check_relabel(vertices, labels) -> None:
 
 def _canonical(labels, edges, self_edge_error: str):
     """Shared canonical form: the label sort order, and the edges renumbered
-    into it, deduplicated, oriented i < j and sorted."""
+    into it, deduplicated, oriented i < j and sorted.
+
+    The builders sort their vertices by label before they compute edges, so
+    their edges arrive in this form; those are checked in one pass and kept
+    as they are. Relabelled graphs and outside input are renumbered."""
     n = len(labels)
     if len(set(labels)) != n:
         raise ValueError("vertex labels must be pairwise distinct")
     order = sorted(range(n), key=labels.__getitem__)
+    if order == list(range(n)) and _in_order(edges, n):
+        return order, tuple(edges)
     rank = [0] * n
     for new, old in enumerate(order):
         rank[old] = new
@@ -188,6 +195,25 @@ def _canonical(labels, edges, self_edge_error: str):
         a, b = rank[i], rank[j]
         remapped.add((a, b) if a < b else (b, a))
     return order, tuple(sorted(remapped))
+
+
+def _in_order(edges, n: int) -> bool:
+    """Whether edges is a tuple or list of (i, j) tuples of Python ints with
+    0 <= i < j < n, strictly increasing: the form _canonical gives them."""
+    if type(edges) not in (tuple, list):
+        return False
+    if not edges:
+        return True
+    if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {2}:
+        return False
+    first, second = itemgetter(0), itemgetter(1)
+    return (
+        set(map(type, chain.from_iterable(edges))) == {int}
+        and edges[0][0] >= 0
+        and max(map(second, edges)) < n
+        and all(map(lt, map(first, edges), map(second, edges)))
+        and all(map(lt, edges, islice(edges, 1, None)))
+    )
 
 
 # --- the zero-divisor basis -------------------------------------------------
@@ -238,6 +264,10 @@ def basis_graph(gen_vectors, vectors, labels, loops: bool) -> CompressedGraph:
     def looped(v):
         return any(all(2 * x >= e for x, e in zip(v, s)) for s in gen_vectors)
 
+    # in label order, so that the edges come out in canonical order
+    order = sorted(range(len(vectors)), key=labels.__getitem__)
+    vectors = [vectors[i] for i in order]
+    labels = [labels[i] for i in order]
     verts = tuple(
         Vertex(label, exponents=v, loop=loops and looped(v)) for v, label in zip(vectors, labels)
     )
@@ -252,7 +282,7 @@ _EDGE_BLOCK = 1 << 16
 
 def _basis_edges(gen_vectors, vectors) -> list[tuple[int, int]]:
     """The pairs (a, b), a < b, with vectors[b] >= s - vectors[a]
-    componentwise for some s in gen_vectors."""
+    componentwise for some s in gen_vectors, in increasing order."""
     # Imported here so that `import zdgraph` still loads numpy only after its
     # other modules: loading it first left about 1 MB more resident when the
     # modules compile from source (no cached bytecode).

@@ -726,20 +726,21 @@ def oracle_compressed_graph(spec, loops: bool) -> CompressedGraph:
     decided by multiplying class representatives."""
     ring = ring_table(spec)
     scan, model = ring.scan, ring.model
-    reps = [scan.groups[gid].first for gid in scan.zd_gids]
+    # (label, representative, size) in label order, so that the edges come
+    # out in canonical order
+    classes = sorted(
+        (element_label(spec, model.element(g.first)), g.first, len(g.members))
+        for g in (scan.groups[gid] for gid in scan.zd_gids)
+    )
+    reps = [first for _, first, _ in classes]
     table = model.mul_rows(reps, reps) == 0 if reps else np.zeros((0, 0), dtype=bool)
-    verts = []
-    for pos, gid in enumerate(scan.zd_gids):
-        g = scan.groups[gid]
-        verts.append(
-            Vertex(
-                element_label(spec, model.element(g.first)),
-                size=len(g.members),
-                loop=bool(table[pos, pos]) if loops else False,
-            )
-        )
+    verts = tuple(
+        Vertex(label, size=size, loop=bool(table[pos, pos]) if loops else False)
+        for pos, (label, _, size) in enumerate(classes)
+    )
     rows, cols = np.nonzero(np.triu(table, 1))
-    return CompressedGraph(tuple(verts), tuple(zip(rows.tolist(), cols.tolist())), loops)
+    ids = np.array(range(len(reps)), dtype=object)  # edge endpoints share these ints
+    return CompressedGraph(verts, tuple(zip(ids[rows].tolist(), ids[cols].tolist())), loops)
 
 
 def full_zero_divisor_graph(spec) -> Graph:
@@ -752,16 +753,20 @@ def full_zero_divisor_graph(spec) -> Graph:
     is_zd = np.zeros(len(scan.groups), dtype=bool)
     is_zd[list(scan.zd_gids)] = True
     zd = np.flatnonzero(is_zd[scan.class_ids])
-    labels = tuple(element_label(spec, model.element(int(i))) for i in zd)
+    labels = [element_label(spec, model.element(int(i))) for i in zd]
+    # in label order, so that the edges come out in canonical order
+    order = sorted(range(len(zd)), key=labels.__getitem__)
+    zd = zd[np.array(order, dtype=np.int64)]
+    ids = np.array(range(len(zd)), dtype=object)  # edge endpoints share these ints
     edges = []
     block = model.row_block
     for start in range(0, len(zd), block):
         chunk = zd[start : start + block]
         zero = model.mul_rows(chunk, zd) == 0
-        # local row i is element start + i; keep the columns right of it
+        # local row i is vertex start + i; keep the columns right of it
         rows, cols = np.nonzero(np.triu(zero, start + 1))
-        edges.extend(zip((rows + start).tolist(), cols.tolist()))
-    return Graph(labels, tuple(edges))
+        edges.extend(zip(ids[rows + start].tolist(), ids[cols].tolist()))
+    return Graph(tuple(labels[i] for i in order), tuple(edges))
 
 
 def count_regular_elements(spec) -> int:

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zdgraph import compressed_graph
 from zdgraph.arithmetic import FpPoly, factor_integer, factor_polynomial, is_prime
 from zdgraph.compressed_graph import (
     ZERO_CLASS,
+    _in_order,
     CompressedGraph,
     basis_graph,
     Graph,
@@ -32,7 +34,14 @@ from zdgraph.compressed_graph import (
     vertex_count,
     zero_divisor_basis,
 )
-from zdgraph.finite_ring import full_zero_divisor_graph, parse_ring_spec
+from zdgraph.finite_ring import (
+    IntegersMod,
+    format_ring_spec,
+    full_zero_divisor_graph,
+    oracle_compressed_graph,
+    parse_ring_spec,
+    quotient_by_ideal,
+)
 
 
 SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
@@ -454,6 +463,200 @@ class TestCanonicalForm:
         cg = CompressedGraph(tuple(Vertex(s) for s in shuffled), tuple(moved))
         assert g.labels == tuple(v.label for v in cg.vertices) == tuple(sorted(labels))
         assert g.edges == cg.edges == Graph(tuple(labels), tuple(edges)).edges
+
+
+def reference_canonical(labels, edges, self_edge_error: str):
+    """_canonical as it was before builders handed edges over in canonical
+    order: every edge renumbered, put through a set and sorted."""
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise ValueError("vertex labels must be pairwise distinct")
+    order = sorted(range(n), key=labels.__getitem__)
+    rank = [0] * n
+    for new, old in enumerate(order):
+        rank[old] = new
+    remapped = set()
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) out of range")
+        if i == j:
+            raise ValueError(self_edge_error)
+        a, b = rank[i], rank[j]
+        remapped.add((a, b) if a < b else (b, a))
+    return order, tuple(sorted(remapped))
+
+
+def typed(edges):
+    """Edges with the type of every edge and endpoint, which == ignores."""
+    return [(type(e), *((type(x), x) for x in e)) for e in edges]
+
+
+# ways a caller may hand an edge over: the canonical (i, j) tuple and others
+EDGE_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "reversed": lambda e: (e[1], e[0]),
+    "numpy": lambda e: tuple(np.int64(x) for x in e),
+    "bool": lambda e: tuple(bool(x) if x in (0, 1) else x for x in e),
+}
+
+
+@st.composite
+def canonical_inputs(draw):
+    """Labels and edges as callers and builders pass them to _canonical."""
+    labels = draw(st.lists(st.text(alphabet="ab01", min_size=1, max_size=3), max_size=8, unique=True))
+    if draw(st.booleans()):
+        labels.sort()
+    n = len(labels)
+    end = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(end, end), max_size=12))
+    if draw(st.booleans()):
+        # deduplicated, oriented and sorted, as the builders hand edges over
+        pairs = sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]})
+    forms = st.one_of(st.just("tuple"), st.sampled_from(sorted(EDGE_FORMS)))
+    edges = [EDGE_FORMS[draw(forms)](e) for e in pairs]
+    bad = draw(st.sampled_from([None, "self", "below", "above", "duplicate"]))
+    if bad == "duplicate" and edges:
+        edges.append(edges[draw(st.integers(0, len(edges) - 1))])
+    elif bad in ("self", "below", "above"):
+        k = draw(end)
+        edge = {"self": (k, k), "below": (-1, k), "above": (k, n)}[bad]
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    return labels, draw(st.sampled_from([tuple, list]))(edges)
+
+
+def outcome(fn):
+    """fn()'s value, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # the message is what is compared
+        return type(exc), str(exc)
+
+
+class TestCanonicalizerAgainstReference:
+    """Edges already in canonical order are checked in one pass and kept;
+    everything else is renumbered. Either way the result, down to the type
+    of every endpoint, or the error, is the reference's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(canonical_inputs())
+    def test_graph_and_compressed_graph_match_the_reference(self, given_input):
+        labels, edges = given_input
+
+        def reference(message):
+            order, canonical = reference_canonical(labels, edges, message)
+            return tuple(labels[i] for i in order), typed(canonical)
+
+        def compressed():
+            g = CompressedGraph(tuple(Vertex(s) for s in labels), edges)
+            return tuple(v.label for v in g.vertices), typed(g.edges)
+
+        def plain():
+            g = Graph(tuple(labels), edges)
+            return g.labels, typed(g.edges)
+
+        message = "self-edges are not stored as edges; use the vertex loop flag"
+        assert outcome(compressed) == outcome(lambda: reference(message))
+        assert outcome(plain) == outcome(lambda: reference("simple graph admits no loops"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(canonical_inputs())
+    def test_in_order_accepts_only_what_the_remap_keeps(self, given_input):
+        labels, edges = given_input
+        if _in_order(edges, len(labels)):
+            _, canonical = reference_canonical(sorted(labels), edges, "")
+            assert typed(canonical) == typed(edges)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            ((0, 1), (0, 2), (1, 2)),
+            [(0, 1), (1, 2)],
+            (),
+        ],
+    )
+    def test_in_order_accepts_canonical_edges(self, edges):
+        assert _in_order(edges, 3)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            ((0, 2), (0, 1)),  # out of order
+            ((0, 1), (0, 1)),  # duplicate
+            ((1, 0),),  # reversed
+            ([0, 1],),  # a list
+            ((np.int64(0), 1),),  # a numpy int
+            ((False, True),),  # bools
+            ((0, 1, 2),),  # three ends
+            ((1, 1),),  # a self-edge
+            ((-1, 0),),
+            ((0, 3),),
+            iter([(0, 1)]),  # not a sequence
+        ],
+    )
+    def test_in_order_turns_down_what_needs_the_remap(self, edges):
+        assert not _in_order(edges, 3)
+
+
+def _z(n):
+    return graph_from_factorization(factor_integer(n), loops=True)
+
+
+def _poly(text):
+    spec = parse_ring_spec(text)
+    return graph_from_factorization(factor_polynomial(spec.modulus, spec.p), loops=True)
+
+
+# rings whose vertices come out of enumeration or divisor order unsorted by
+# label ("10" before "2", "x+1" before "x^2"), one of each kind of spec
+ORACLE_SPECS = [
+    IntegersMod(72),
+    parse_ring_spec("F2[x]/(x^4+x^2)"),
+    parse_ring_spec("F2[x,y]/(x^3,x^2*y,y^3)"),
+    quotient_by_ideal(IntegersMod(720), [24]),
+]
+
+BUILDERS = {
+    "basis Z/n": lambda: _z(720),
+    "basis F_p[x]": lambda: _poly("F2[x]/(x^6+x^5+x^4+x^3)"),
+    "basis F_p[x] two factors": lambda: _poly("F3[x]/(x^5+x^3)"),
+    "exponents": lambda: graph_from_exponents((3, 2, 1), loops=True),
+    "two generators": lambda: basis_graph(
+        [(2, 1), (1, 2)],
+        [(0, 1), (1, 0), (1, 1), (2, 0), (0, 2), (2, 1)],
+        ["f", "e", "d", "c", "b", "a"],
+        loops=True,
+    ),
+    **{
+        f"oracle {format_ring_spec(s)}": (lambda s=s: oracle_compressed_graph(s, loops=True))
+        for s in ORACLE_SPECS
+    },
+    **{f"full {format_ring_spec(s)}": (lambda s=s: full_zero_divisor_graph(s)) for s in ORACLE_SPECS},
+    "twin quotient": lambda: twin_quotient(full_zero_divisor_graph(IntegersMod(72)))[0],
+}
+
+
+class TestBuildersHandOverCanonicalOrder:
+    """Every builder sorts its vertices by label before it computes edges,
+    so what it hands _canonical is already canonical and is kept as it is."""
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_labels_sorted_and_edges_in_order(self, monkeypatch, name):
+        handed = []
+        canonical = compressed_graph._canonical
+
+        def recording(labels, edges, self_edge_error):
+            handed.append((list(labels), edges))
+            return canonical(labels, edges, self_edge_error)
+
+        monkeypatch.setattr(compressed_graph, "_canonical", recording)
+        BUILDERS[name]()
+        assert handed
+        assert any(edges for _, edges in handed)
+        for labels, edges in handed:
+            assert labels == sorted(labels)
+            _, canonical_edges = reference_canonical(labels, edges, "")
+            assert typed(edges) == typed(canonical_edges)
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ verifier rather than trusting the one inside the module.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +20,11 @@ from zdgraph.compressed_graph import (
 )
 from zdgraph.finite_ring import IntegersMod, oracle_compressed_graph
 from zdgraph.isomorphism import (
+    DEFAULT_BUDGET,
     IsoReport,
     SearchBudgetExceeded,
+    _adjacency,
+    _refine,
     _verify_witness,
     canonical_form,
     graphs_isomorphic,
@@ -58,6 +61,107 @@ def check_witness(g1, g2, pairs, respect_loops=True, respect_sizes=False):
             assert v.loop == w.loop
         if respect_sizes:
             assert v.size == w.size
+
+
+def reference_verify_witness(g1, g2, pairs, respect_loops, respect_sizes):
+    """_verify_witness as it was: every pair of g1's vertices checked, O(n^2)."""
+    index1 = {v.label: i for i, v in enumerate(g1.vertices)}
+    index2 = {v.label: i for i, v in enumerate(g2.vertices)}
+    if len(pairs) != len(g1.vertices) or len({b for _, b in pairs}) != len(pairs):
+        return False
+    mapping = {}
+    for a, b in pairs:
+        if a not in index1 or b not in index2:
+            return False
+        mapping[index1[a]] = index2[b]
+    e1 = set(g1.edges)
+    e2 = set(g2.edges)
+    n = len(g1.vertices)
+    for i in range(n):
+        vi, wi = g1.vertices[i], g2.vertices[mapping[i]]
+        if respect_loops and vi.loop != wi.loop:
+            return False
+        if respect_sizes and vi.size != wi.size:
+            return False
+        for j in range(i + 1, n):
+            a, b = mapping[i], mapping[j]
+            if ((i, j) in e1) != ((min(a, b), max(a, b)) in e2):
+                return False
+    return True
+
+
+def reference_isomorphic(g1, g2, respect_loops=True, respect_sizes=False, budget=DEFAULT_BUDGET):
+    """graphs_isomorphic as it was, with the O(n) consistency test per
+    candidate and the O(n^2) witness check."""
+    n = len(g1.vertices)
+    if n != len(g2.vertices):
+        return IsoReport(False, None, "vertex count", 0)
+    if respect_loops and g1.loop_count != g2.loop_count:
+        return IsoReport(False, None, "loop count", 0)
+    if g1.degree_multiset() != g2.degree_multiset():
+        return IsoReport(False, None, "degree multiset", 0)
+    if respect_sizes and sorted(v.size for v in g1.vertices) != sorted(v.size for v in g2.vertices):
+        return IsoReport(False, None, "size multiset", 0)
+    if n == 0:
+        return IsoReport(True, (), None, 0)
+    if g1 == g2:
+        pairs = tuple(sorted((v.label, v.label) for v in g1.vertices))
+        assert reference_verify_witness(g1, g2, pairs, respect_loops, respect_sizes)
+        return IsoReport(True, pairs, None, 0)
+    adj1, adj2 = _adjacency(g1), _adjacency(g2)
+
+    def seed(g, adj):
+        return [
+            (len(adj[i]), v.loop if respect_loops else False, v.size if respect_sizes else 0)
+            for i, v in enumerate(g.vertices)
+        ]
+
+    col1, col2 = _refine(adj1, adj2, seed(g1, adj1), seed(g2, adj2))
+    by_color2 = {}
+    for j, c in enumerate(col2):
+        by_color2.setdefault(c, []).append(j)
+    order = sorted(range(n), key=lambda i: (len(by_color2.get(col1[i], ())), -len(adj1[i]), i))
+    candidates = [by_color2.get(col1[i], []) for i in range(n)]
+    mapping = [-1] * n
+    used = [False] * n
+    nodes = 0
+
+    def consistent(v, w):
+        if used[w] or len(adj1[v]) != len(adj2[w]):
+            return False
+        for u in range(n):
+            m = mapping[u]
+            if m >= 0 and u != v and ((u in adj1[v]) != (m in adj2[w])):
+                return False
+        return True
+
+    cursor = [0] * (n + 1)
+    depth = 0
+    while 0 <= depth < n:
+        v = order[depth]
+        if mapping[v] >= 0:
+            used[mapping[v]] = False
+            mapping[v] = -1
+        options = candidates[v]
+        i = cursor[depth]
+        while i < len(options) and not consistent(v, options[i]):
+            i += 1
+        if i == len(options):
+            depth -= 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"isomorphism search exceeded budget of {budget} nodes")
+        mapping[v] = options[i]
+        used[options[i]] = True
+        cursor[depth] = i + 1
+        depth += 1
+        cursor[depth] = 0
+    if depth < 0:
+        return IsoReport(False, None, "search exhaustion", nodes)
+    pairs = tuple(sorted((g1.vertices[i].label, g2.vertices[mapping[i]].label) for i in range(n)))
+    assert reference_verify_witness(g1, g2, pairs, respect_loops, respect_sizes)
+    return IsoReport(True, pairs, None, nodes)
 
 
 CYCLE6 = plain("abcdef", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
@@ -211,6 +315,27 @@ class TestWitnessCheck:
         assert not _verify_witness(self.PATH, g2, self.GOOD, False, True)
         assert _verify_witness(self.PATH, g2, self.GOOD, False, False)
 
+    def test_rejects_unequal_edge_counts(self):
+        # every edge of the path maps onto an edge of the triangle
+        triangle = plain("xyz", [(0, 1), (1, 2), (0, 2)])
+        for verify in (_verify_witness, reference_verify_witness):
+            assert not verify(self.PATH, triangle, self.GOOD, False, False)
+            assert verify(self.PATH, self.target(), self.GOOD, False, False)
+
+    def test_rejects_an_edge_mapped_onto_a_non_edge(self):
+        # a star at x: the pairing sends b -- c onto y, z, a non-edge
+        star = plain("xyz", [(0, 1), (0, 2)])
+        centred = (("a", "y"), ("b", "x"), ("c", "z"))
+        for verify in (_verify_witness, reference_verify_witness):
+            assert not verify(self.PATH, star, self.GOOD, False, False)
+            assert verify(self.PATH, star, centred, False, False)
+
+    def test_rejects_a_pairing_into_a_larger_graph(self):
+        # the quadratic check looked at g1's pairs only, so it let this pass
+        larger = plain("xyzw", [(0, 1), (1, 2)])
+        assert not _verify_witness(self.PATH, larger, self.GOOD, False, False)
+        assert reference_verify_witness(self.PATH, larger, self.GOOD, False, False)
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_relabelled_graph_is_isomorphic_through_its_witness(self, data):
@@ -247,6 +372,63 @@ def attributed_graphs(draw, max_n=9):
 
 
 FLAGS = [(True, False), (False, False), (True, True), (False, True)]
+
+
+class TestLinearChecksMatchReferences:
+    """The search's consistency test and the witness check look at edges
+    only; every report is the one the O(n) and O(n^2) versions gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(attributed_graphs(max_n=10), st.data())
+    def test_same_report_as_the_reference(self, g, data):
+        n = len(g.vertices)
+        h = g.relabel(data.draw(st.permutations([f"w{i}" for i in range(n)])))
+        pairs = set(combinations(range(n), 2))
+        others = sorted(pairs - set(h.edges))
+        moved = None
+        if h.edges and others:
+            # one edge moved onto a non-edge
+            gone = data.draw(st.sampled_from(h.edges))
+            added = data.draw(st.sampled_from(others))
+            edges = tuple(e for e in h.edges if e != gone) + (added,)
+            moved = CompressedGraph(h.vertices, edges, h.loops_admitted)
+        for loops, sizes in FLAGS:
+            for target in (h, moved) if moved else (h,):
+                report = graphs_isomorphic(g, target, loops, sizes)
+                assert report == reference_isomorphic(g, target, loops, sizes)
+
+    # cycle lengths of equal sum: every union is 2-regular, so refinement
+    # leaves one cell and the search alone tells the pairs apart
+    CYCLE_UNIONS = [((6,), (3, 3)), ((8,), (4, 4), (3, 5)), ((10,), (5, 5), (3, 7), (3, 3, 4))]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [pair for group in CYCLE_UNIONS for pair in combinations_with_replacement(group, 2)],
+    )
+    def test_same_report_on_unions_of_cycles(self, a, b):
+        def union(lengths, seed):
+            edges, start = [], 0
+            for k in lengths:
+                edges += [(start + t, start + (t + 1) % k) for t in range(k)]
+                start += k
+            names = [f"v{i}" for i in range(start)]
+            random.Random(seed).shuffle(names)
+            return plain(names, edges)
+
+        g, h = union(a, 1), union(b, 2)
+        report = graphs_isomorphic(g, h)
+        assert report == reference_isomorphic(g, h)
+        assert report.isomorphic == (a == b) and report.nodes > 0
+
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_same_report_on_ring_graphs(self, loops):
+        g1 = graph_from_factorization(factor_integer(2**3 * 3 * 5 * 7), loops)
+        g2 = graph_from_factorization(factor_integer(11**3 * 2 * 13 * 17), loops)
+        g3 = graph_from_factorization(factor_integer(2**2 * 3**2 * 5 * 7), loops)
+        for a, b in [(g1, g2), (g2, g1), (g1, g3)]:
+            report = graphs_isomorphic(a, b, loops)
+            assert report == reference_isomorphic(a, b, loops)
+        assert graphs_isomorphic(g1, g2, loops).nodes > 0
 
 
 class TestCanonicalForm:
