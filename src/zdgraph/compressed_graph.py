@@ -94,11 +94,14 @@ class CompressedGraph:
 
     Construction canonicalizes: vertices are sorted by label and edges are
     renumbered, deduplicated and sorted, so equal graphs compare equal.
+    Equality reads the vertices and edges only: a graph that admits loops
+    but has no looped vertex equals the same graph built without loops, as
+    its JSON shows it.
     """
 
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[int, int], ...] = ()
-    loops_admitted: bool = False
+    loops_admitted: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)

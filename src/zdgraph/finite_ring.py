@@ -214,6 +214,9 @@ class _ZeroPatternKeys:
 
 class _IntModel(_ZeroPatternKeys):
     def __init__(self, n: int):
+        # mul_rows multiplies two residues in int64, exact while (n-1)^2 < 2^63
+        if n > 3037000500:
+            raise RingTooLarge(f"ring has {n} elements, above 3037000500: its products overflow int64")
         self.n = n
         self.size = n
         self.row_block = max(1, 2**21 // n)
@@ -695,6 +698,8 @@ def _mask_indices(mask: bytes, n: int) -> np.ndarray:
 def annihilator(spec, r) -> list:
     """Every x with r*x = 0, in enumeration order."""
     model = ring_table(spec).model
+    if model.size > ENUMERATION_LIMIT:
+        raise RingTooLarge(f"ring has {model.size} elements, above {ENUMERATION_LIMIT}")
     row = model.mul_rows([model.index(r)])[0]
     return [model.element(int(i)) for i in np.flatnonzero(row == 0)]
 

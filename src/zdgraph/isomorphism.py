@@ -1,7 +1,12 @@
 """Exact graph isomorphism for compressed zero-divisor graphs.
 
-graphs_isomorphic decides one pair by backtracking search over a color
-partition produced by iterated neighborhood refinement. Cheap invariants
+One color refinement serves both routines below: _equitable refines a
+partition seeded by the vertex attributes (loop flag, class size, as
+asked) until it is equitable.
+
+graphs_isomorphic decides one pair by backtracking search over the
+partition that refinement gives the disjoint union of the two graphs, each
+vertex seeded by its degree and attributes. Cheap invariants
 (vertex count, loop count, degree multiset) answer most negative instances
 before any search happens; when they all agree the search itself is the
 separating certificate. Every positive answer carries a vertex pairing that
@@ -51,31 +56,6 @@ def _adjacency(g: CompressedGraph) -> list[set[int]]:
         adj[i].add(j)
         adj[j].add(i)
     return adj
-
-
-def _refine(adj1, adj2, init1, init2):
-    """Shared-palette neighborhood refinement over both graphs at once.
-
-    Returns final color lists. Colors are comparable across graphs because
-    both are interned through one dictionary.
-    """
-    n1 = len(init1)
-    adj = adj1 + [{u + n1 for u in nbrs} for nbrs in adj2]
-    palette: dict[object, int] = {}
-    colors = []
-    for key in list(init1) + list(init2):
-        colors.append(palette.setdefault(("init", key), len(palette)))
-    for _ in range(len(adj)):
-        before = len(set(colors))
-        fresh: dict[object, int] = {}
-        new = []
-        for v in range(len(adj)):
-            key = (colors[v], tuple(sorted(colors[u] for u in adj[v])))
-            new.append(fresh.setdefault(key, len(fresh)))
-        colors = new
-        if len(set(colors)) == before:
-            break
-    return colors[:n1], colors[n1:]
 
 
 def _verify_witness(g1, g2, pairs, respect_loops, respect_sizes):
@@ -130,12 +110,10 @@ def graphs_isomorphic(
         return IsoReport(False, None, "loop count", 0)
     if g1.degree_multiset() != g2.degree_multiset():
         return IsoReport(False, None, "degree multiset", 0)
-    if respect_sizes:
-        for g in (g1, g2):
-            if any(v.size is None for v in g.vertices):
-                raise ValueError("respect_sizes requires every vertex to carry a size")
-        if sorted(v.size for v in g1.vertices) != sorted(v.size for v in g2.vertices):
-            return IsoReport(False, None, "size multiset", 0)
+    attrs1 = _attributes(g1, respect_loops, respect_sizes)
+    attrs2 = _attributes(g2, respect_loops, respect_sizes)
+    if respect_sizes and sorted(s for _, s in attrs1) != sorted(s for _, s in attrs2):
+        return IsoReport(False, None, "size multiset", 0)
     if n == 0:
         return IsoReport(True, (), None, 0)
     if g1 == g2:
@@ -144,19 +122,15 @@ def graphs_isomorphic(
             raise AssertionError("internal error: witness failed verification")
         return IsoReport(True, pairs, None, 0)
 
+    # one refinement of the disjoint union, g2's vertices numbered from n,
+    # so that a color means the same in both graphs; seeding the degree
+    # saves the round that would find it
     adj1, adj2 = _adjacency(g1), _adjacency(g2)
-
-    def seed(g, adj):
-        return [
-            (
-                len(adj[i]),
-                v.loop if respect_loops else False,
-                v.size if respect_sizes else 0,
-            )
-            for i, v in enumerate(g.vertices)
-        ]
-
-    col1, col2 = _refine(adj1, adj2, seed(g1, adj1), seed(g2, adj2))
+    adj = adj1 + [{u + n for u in nbrs} for nbrs in adj2]
+    seeds = [(len(nbrs), a) for nbrs, a in zip(adj, attrs1 + attrs2)]
+    rank = {s: i for i, s in enumerate(sorted(set(seeds)))}
+    colors = _equitable([rank[s] for s in seeds], adj)
+    col1, col2 = colors[:n], colors[n:]
 
     by_color2: dict[int, list[int]] = {}
     for j, c in enumerate(col2):
@@ -256,12 +230,20 @@ def _equitable(colors: list[int], adj: list[set[int]]) -> list[int]:
     the result: relabeling the graph relabels the refined colors alike."""
     count = len(set(colors))
     while True:
-        sig = [(c, tuple(sorted(colors[u] for u in nbrs))) for c, nbrs in zip(colors, adj)]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        colors = [rank[s] for s in sig]
-        if len(rank) == count:
+        # a vertex keeps only its signature's id and a repeated signature
+        # is dropped at once: fewer live tuples, fewer garbage collections
+        ids: dict[tuple, int] = {}
+        first = [
+            ids.setdefault((c, tuple(sorted(map(colors.__getitem__, nbrs)))), len(ids))
+            for c, nbrs in zip(colors, adj)
+        ]
+        rank = [0] * len(ids)
+        for r, s in enumerate(sorted(ids)):
+            rank[ids[s]] = r
+        colors = [rank[i] for i in first]
+        if len(ids) == count:
             return colors
-        count = len(rank)
+        count = len(ids)
 
 
 def _canonical_search(attrs: list, adj: list[set[int]], budget: int):

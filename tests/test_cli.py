@@ -154,6 +154,24 @@ class TestErrors:
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["compress", "Z/8", "--nope"]) == 2
 
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            # the union gate reads one annihilator row of n residues
+            ("Z/2000000 | 2", "ring has 2000000 elements, above 1000000"),
+            # whose products would not fit in int64
+            (
+                "Z/1000000000000 | 2",
+                "ring has 1000000000000 elements, above 3037000500: its products overflow int64",
+            ),
+        ],
+    )
+    def test_huge_window_exits_2(self, capsys, tmp_path, window, message):
+        path = tmp_path / "instances.txt"
+        path.write_text(window + "\n")
+        code, out, err = invoke(capsys, "conjecture", "2", "--instances", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_instances_file_exits_2(self, capsys):
         code, _, err = invoke(capsys, "conjecture", "2", "--instances", "/tmp/nope-zd")
         assert code == 2

@@ -675,6 +675,26 @@ class TestSerialization:
         g = self.example()
         assert from_json(to_json(g)) == g
 
+    def test_json_round_trip_of_a_graph_admitting_loops_without_one(self):
+        # Z/6 admits loops but has no looped vertex, which its JSON cannot show
+        g = _z(6)
+        assert g.loops_admitted and g.loop_count == 0
+        assert from_json(to_json(g)) == g
+
+    @pytest.mark.parametrize("name", sorted(n for n in BUILDERS if not n.startswith("full")))
+    def test_json_round_trip_of_builder_graphs(self, name):
+        g = BUILDERS[name]()
+        assert from_json(to_json(g)) == g
+
+    @given(st.integers(2, 400), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_json_round_trip_of_ring_graphs(self, n, loops):
+        for g in (
+            graph_from_factorization(factor_integer(n), loops),
+            oracle_compressed_graph(IntegersMod(n), loops),
+        ):
+            assert from_json(to_json(g)) == g
+
     def test_dot_round_trips_through_json(self):
         for n in (6, 8, 12, 360):
             g = graph_from_factorization(factor_integer(n), loops=True)
@@ -747,6 +767,11 @@ class TestJsonWriter:
             "edges": [list(e) for e in g.edges],
         }
         assert to_json(g) == json.dumps(payload, indent=2) + "\n"
+
+    @given(graphs_with_metadata())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, g):
+        assert from_json(to_json(g)) == g
 
     @given(graphs_with_metadata())
     @settings(max_examples=200, deadline=None)

@@ -257,6 +257,23 @@ class TestSignatureSufficiency:
         assert out.failures == (f"signature (1, 1): Z/6 vs Z/10 {kind} graphs differ",)
 
 
+class TestLoopedNecessity:
+    def test_shared_graph_is_a_finding(self, monkeypatch):
+        # vertex count, loop count and degree multiset separate every
+        # cross-signature pair of real rings, so only a fault reaches the
+        # search: Z/8 (signature (3,)) is given the graph of Z/6 (1, 1)
+        def fault(g, fact, loops):
+            return graph_from_factorization(factor_integer(6), loops) if fact == factor_integer(8) else g
+
+        plant(monkeypatch, sweeps, "graph_from_factorization", fault)
+        out = sweeps.looped_necessity_sweep(max_n=12)
+        assert (out.checked, out.failures) == (2, ())
+        assert out.findings == (
+            "Z/6 (signature (1, 1)) and Z/8 (signature (3,)) have isomorphic looped graphs",
+            "Z/8 (signature (3,)) and Z/10 (signature (1, 1)) have isomorphic looped graphs",
+        )
+
+
 def wrong_class(a, b):
     """A fault for ring_table: in the scan of every quotient, the element a
     gets the class of b."""

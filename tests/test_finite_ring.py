@@ -159,6 +159,14 @@ class TestMultiplication:
         # (2^16 - 1)^2 = 2^32 - 2^17 + 1 is the largest uint32 product formed
         assert mul_elements(IntegersMod(2**16), 2**16 - 1, 2**16 - 1) == 1
 
+    def test_largest_wide_product(self):
+        # above 2^16 rows multiply in int64, exact while (n-1)^2 < 2^63; a
+        # larger Z/n is refused rather than given wrapped products
+        assert mul_elements(IntegersMod(3037000500), 3037000499, 3037000499) == 1
+        for n in (3037000501, 10**10):
+            with pytest.raises(RingTooLarge, match=f"^ring has {n} elements, above 3037000500: "):
+                mul_elements(IntegersMod(n), n // 2 + 1, n // 2 + 1)
+
     def test_quotient_ring_matches_plain_modulus(self):
         q = quotient_by_ideal(IntegersMod(48), [12])
         assert ring_size(q) == 12
@@ -174,6 +182,13 @@ class TestAnnihilator:
         assert annihilator(spec, 2) == [0, 4]
         assert annihilator(spec, 4) == [0, 2, 4, 6]
         assert annihilator(spec, 0) == list(range(8))
+
+    def test_size_bound(self):
+        # the scan is one row of the table, n residues, so it is bounded as
+        # enumeration is
+        assert annihilator(IntegersMod(ENUMERATION_LIMIT), 2) == [0, ENUMERATION_LIMIT // 2]
+        with pytest.raises(RingTooLarge, match=f"^ring has {ENUMERATION_LIMIT + 1} elements, above {ENUMERATION_LIMIT}$"):
+            annihilator(IntegersMod(ENUMERATION_LIMIT + 1), 2)
 
     def test_matches_naive_dense(self):
         for n in range(2, 40):

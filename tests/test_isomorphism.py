@@ -24,7 +24,7 @@ from zdgraph.isomorphism import (
     IsoReport,
     SearchBudgetExceeded,
     _adjacency,
-    _refine,
+    _equitable,
     _verify_witness,
     canonical_form,
     graphs_isomorphic,
@@ -90,9 +90,29 @@ def reference_verify_witness(g1, g2, pairs, respect_loops, respect_sizes):
     return True
 
 
+def reference_refine(adj1, adj2, init1, init2):
+    """The search's color refinement as it was, kept apart from the
+    module's: shared-palette neighborhood refinement over both graphs, one
+    color per (color, sorted neighbor colors) in order of first appearance."""
+    n1 = len(init1)
+    adj = adj1 + [{u + n1 for u in nbrs} for nbrs in adj2]
+    palette = {}
+    colors = [palette.setdefault(("init", key), len(palette)) for key in list(init1) + list(init2)]
+    for _ in range(len(adj)):
+        before = len(set(colors))
+        fresh = {}
+        colors = [
+            fresh.setdefault((colors[v], tuple(sorted(colors[u] for u in adj[v]))), len(fresh))
+            for v in range(len(adj))
+        ]
+        if len(set(colors)) == before:
+            break
+    return colors[:n1], colors[n1:]
+
+
 def reference_isomorphic(g1, g2, respect_loops=True, respect_sizes=False, budget=DEFAULT_BUDGET):
-    """graphs_isomorphic as it was, with the O(n) consistency test per
-    candidate and the O(n^2) witness check."""
+    """graphs_isomorphic as it was, with its own color refinement, the O(n)
+    consistency test per candidate and the O(n^2) witness check."""
     n = len(g1.vertices)
     if n != len(g2.vertices):
         return IsoReport(False, None, "vertex count", 0)
@@ -116,7 +136,7 @@ def reference_isomorphic(g1, g2, respect_loops=True, respect_sizes=False, budget
             for i, v in enumerate(g.vertices)
         ]
 
-    col1, col2 = _refine(adj1, adj2, seed(g1, adj1), seed(g2, adj2))
+    col1, col2 = reference_refine(adj1, adj2, seed(g1, adj1), seed(g2, adj2))
     by_color2 = {}
     for j, c in enumerate(col2):
         by_color2.setdefault(c, []).append(j)
@@ -371,6 +391,28 @@ def attributed_graphs(draw, max_n=9):
     )
 
 
+@st.composite
+def near_copy(draw, g):
+    """A relabeled copy of g with a few degree-preserving edge switches and
+    its loop flags and sizes shuffled among the vertices: every invariant
+    graphs_isomorphic tests first still agrees with g."""
+    n = len(g.vertices)
+    edges = set(g.edges)
+    for _ in range(draw(st.integers(0, 3))):
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = draw(st.lists(st.sampled_from(sorted(edges)), min_size=2, max_size=2, unique=True))
+        new = {tuple(sorted(e)) for e in ((a, d), (c, b))}
+        if len(new) == 2 and all(x != y for x, y in new) and not new & edges:
+            edges = (edges - {(a, b), (c, d)}) | new
+    attrs = draw(st.permutations([(v.loop, v.size) for v in g.vertices]))
+    return CompressedGraph(
+        tuple(Vertex(f"v{i}", size=s, loop=l) for i, (l, s) in enumerate(attrs)),
+        tuple(edges),
+        loops_admitted=True,
+    ).relabel(draw(st.permutations([f"w{i}" for i in range(n)])))
+
+
 FLAGS = [(True, False), (False, False), (True, True), (False, True)]
 
 
@@ -431,6 +473,32 @@ class TestLinearChecksMatchReferences:
         assert graphs_isomorphic(g1, g2, loops).nodes > 0
 
 
+def reference_equitable(colors, adj):
+    """_equitable as first written: every signature held, ranked through a
+    dictionary of the sorted distinct ones."""
+    count = len(set(colors))
+    while True:
+        sig = [(c, tuple(sorted(colors[u] for u in nbrs))) for c, nbrs in zip(colors, adj)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colors = [rank[s] for s in sig]
+        if len(rank) == count:
+            return colors
+        count = len(rank)
+
+
+class TestEquitable:
+    @settings(max_examples=200, deadline=None)
+    @given(attributed_graphs(max_n=14), st.data())
+    def test_same_colors_as_the_reference(self, g, data):
+        # the canonical keys read the color values, not only the partition
+        n = len(g.vertices)
+        seed = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        rank = {c: i for i, c in enumerate(sorted(set(seed)))}
+        colors = [rank[c] for c in seed]
+        adj = _adjacency(g)
+        assert _equitable(colors, adj) == reference_equitable(colors, adj)
+
+
 class TestCanonicalForm:
     @settings(max_examples=80, deadline=None)
     @given(attributed_graphs(), st.data())
@@ -442,24 +510,7 @@ class TestCanonicalForm:
     @settings(max_examples=150, deadline=None)
     @given(attributed_graphs(), st.data())
     def test_key_equality_is_isomorphism(self, g, data):
-        # a relabeled copy with a few degree-preserving edge switches and
-        # its loop flags and sizes shuffled among the vertices: every
-        # invariant graphs_isomorphic tests first still agrees
-        n = len(g.vertices)
-        edges = set(g.edges)
-        for _ in range(data.draw(st.integers(0, 3))):
-            if len(edges) < 2:
-                break
-            (a, b), (c, d) = data.draw(st.lists(st.sampled_from(sorted(edges)), min_size=2, max_size=2, unique=True))
-            new = {tuple(sorted(e)) for e in ((a, d), (c, b))}
-            if len(new) == 2 and all(x != y for x, y in new) and not new & edges:
-                edges = (edges - {(a, b), (c, d)}) | new
-        attrs = data.draw(st.permutations([(v.loop, v.size) for v in g.vertices]))
-        h = CompressedGraph(
-            tuple(Vertex(f"v{i}", size=s, loop=l) for i, (l, s) in enumerate(attrs)),
-            tuple(edges),
-            loops_admitted=True,
-        ).relabel(data.draw(st.permutations([f"w{i}" for i in range(n)])))
+        h = data.draw(near_copy(g))
         for loops, sizes in FLAGS:
             same = canonical_form(g, loops, sizes).key == canonical_form(h, loops, sizes).key
             assert same == graphs_isomorphic(g, h, loops, sizes).isomorphic
@@ -524,6 +575,60 @@ class TestCanonicalForm:
     def test_sizes_required_when_respected(self):
         with pytest.raises(ValueError):
             canonical_form(plain("a", []), respect_sizes=True)
+
+
+def networkx_isomorphic(g1, g2, respect_loops, respect_sizes):
+    """nx.is_isomorphic on the two graphs, nodes matched on the loop flag
+    and the class size as the flags ask."""
+    nx = pytest.importorskip("networkx")
+
+    def as_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from((i, {"loop": v.loop, "size": v.size}) for i, v in enumerate(g.vertices))
+        h.add_edges_from(g.edges)
+        return h
+
+    def node_match(a, b):
+        return (not respect_loops or a["loop"] == b["loop"]) and (
+            not respect_sizes or a["size"] == b["size"]
+        )
+
+    return nx.is_isomorphic(as_nx(g1), as_nx(g2), node_match=node_match)
+
+
+def z_graphs_by_vertex_count(max_n):
+    """Pairs of looped oracle graphs of Z/n, n <= max_n, with equally many
+    vertices; every vertex carries its class size."""
+    by_count = {}
+    for n in range(2, max_n + 1):
+        g = oracle_compressed_graph(IntegersMod(n), loops=True)
+        by_count.setdefault(len(g.vertices), []).append((n, g))
+    return [pair for group in by_count.values() for pair in combinations(group, 2)]
+
+
+class TestNetworkxOracle:
+    """networkx decides the same pairs with code that shares nothing with
+    this module; the search and the canonical keys must agree with it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(attributed_graphs(), st.data())
+    def test_hypothesis_graphs(self, g, data):
+        h = data.draw(near_copy(g))
+        for loops, sizes in FLAGS:
+            expected = networkx_isomorphic(g, h, loops, sizes)
+            assert graphs_isomorphic(g, h, loops, sizes).isomorphic == expected
+            assert (canonical_form(g, loops, sizes).key == canonical_form(h, loops, sizes).key) == expected
+
+    def test_equal_size_ring_graphs(self):
+        verdicts = set()
+        for (n1, g1), (n2, g2) in z_graphs_by_vertex_count(120):
+            for loops, sizes in FLAGS:
+                expected = networkx_isomorphic(g1, g2, loops, sizes)
+                verdicts.add(expected)
+                assert graphs_isomorphic(g1, g2, loops, sizes).isomorphic == expected, (n1, n2)
+                same = canonical_form(g1, loops, sizes).key == canonical_form(g2, loops, sizes).key
+                assert same == expected, (n1, n2)
+        assert verdicts == {False, True}
 
 
 class TestRingFixtures:
