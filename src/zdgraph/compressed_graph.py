@@ -525,7 +525,10 @@ def to_json(g: CompressedGraph) -> str:
 
 
 def from_json(text: str) -> CompressedGraph:
-    """Inverse of to_json; loop admission is inferred from the loop flags."""
+    """Inverse of to_json, except that the JSON does not carry
+    loops_admitted: it reads back as whether any vertex is looped.  So a
+    graph that admits loops but has none (Z/6) reads back as one built
+    without loops, which equals it but which expand_to_full_graph refuses."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or set(payload) != {"vertices", "edges"}:
         raise ValueError("expected an object with 'vertices' and 'edges'")

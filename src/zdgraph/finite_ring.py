@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -134,6 +134,8 @@ class BivariateMonomialQuotient:
 
     p: int
     generators: tuple[tuple[int, int], ...]
+    # the standard monomials, derived from the generators once
+    monomials: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
@@ -151,6 +153,15 @@ class BivariateMonomialQuotient:
                 if g != h and g[0] <= h[0] and g[1] <= h[1]:
                     raise ValueError(f"generator {h} is divisible by {g}; use a minimal set")
         object.__setattr__(self, "generators", tuple(sorted(gens, key=lambda g: (g[0] + g[1], g[1]))))
+        xbound = min(a for a, b in gens if b == 0)
+        ybound = min(b for a, b in gens if a == 0)
+        monos = [
+            (a, b)
+            for a in range(xbound)
+            for b in range(ybound)
+            if not any(a >= ga and b >= gb for ga, gb in gens)
+        ]
+        object.__setattr__(self, "monomials", tuple(sorted(monos, key=lambda m: (m[0] + m[1], m[1]))))
 
 
 @dataclass(frozen=True)
@@ -174,14 +185,7 @@ class QuotientRing:
 
 def standard_monomials(spec: BivariateMonomialQuotient) -> tuple[tuple[int, int], ...]:
     """Monomials outside the ideal, ordered by total degree then y-exponent."""
-    xbound = min(a for a, b in spec.generators if b == 0)
-    ybound = min(b for a, b in spec.generators if a == 0)
-    out = []
-    for a in range(xbound):
-        for b in range(ybound):
-            if not any(a >= ga and b >= gb for ga, gb in spec.generators):
-                out.append((a, b))
-    return tuple(sorted(out, key=lambda m: (m[0] + m[1], m[1])))
+    return spec.monomials
 
 
 def ring_size(spec) -> int:
@@ -265,9 +269,24 @@ class _VectorModel:
 
     mul_rows(rows, cols) and add_rows(rows, cols) return the block of
     products or sums rows x cols as element indices; cols=None means every
-    element, so row a is a full table row.  A block's int64 intermediate
-    holds len(rows) x len(cols) x k digits, which row_block rows of full
-    width keep near 4 MB.
+    element, so row a is a full table row.  A block's float intermediate
+    holds len(rows) x k x len(cols) digits, which row_block rows of full
+    width keep near 2^19 entries.
+
+    Products run in floating point so that numpy hands them to BLAS, and
+    they stay exact integers: each entry of a product is a sum of at most
+    k terms, each a digit times a digit or a digit times a coefficient of
+    M, so every partial sum is an integer below B = k*(p-1)^2 whatever
+    order BLAS adds in.  float32 holds every integer below 2^24, and while
+    B < 2^22 its quotient a/p also floors to the exact a // p: a/p is at
+    most 2^22/p, where half an ulp is at most 1/(4p), less than the gap
+    1/p between a/p and the next integer above it when p does not divide
+    a.  Above that bound the products run in float64: every operation
+    reads its digits from a table that only rings of at most SCAN_LIMIT
+    elements have, so p^k <= 20000, B < 2^29 and the same argument holds
+    with room to spare under float64's 2^53.  Sums of two digits
+    (add_rows) stay below 2p, which is below 2^22 whenever B is, and the
+    indices that digits combine into stay below p^k <= 20000.
     """
 
     def __init__(self, p: int, struct: np.ndarray):
@@ -276,15 +295,17 @@ class _VectorModel:
         self.size = p**self.k
         self.row_block = max(1, 2**19 // (self.size * self.k))
         self.scan_block = max(1, 2**18 // self.k**2)
-        self.M = struct
+        dtype = np.float32 if self.k * (p - 1) ** 2 < 2**22 else np.float64
+        self.M = struct.astype(dtype)
         self.radix = p ** np.arange(self.k, dtype=np.int64)
+        self._radix = self.radix.astype(dtype)
         # row reduction adds products of two residues to a residue, so its
         # entries stay below p^2
         self._reduce_dtype = np.min_scalar_type(p * p - 1)
         if self.size > SCAN_LIMIT:
-            self._digits = None
+            self._digits_t = None
         else:
-            self._digits = self._digitize(np.arange(self.size, dtype=np.int64))
+            self._digits_t = self._digitize(np.arange(self.size, dtype=np.int64)).T.astype(dtype)
             self._inverse = np.array(
                 [pow(a, -1, p) if a else 0 for a in range(p)], dtype=self._reduce_dtype
             )
@@ -292,22 +313,37 @@ class _VectorModel:
     def _digitize(self, idx: np.ndarray) -> np.ndarray:
         return (idx[:, None] // self.radix) % self.p
 
-    def _col_digits(self, cols) -> np.ndarray:
-        if self._digits is None:
+    def _digit_rows(self, idx) -> np.ndarray:
+        """Digit t of each element of idx in row t; idx=None means every
+        element."""
+        if self._digits_t is None:
             raise RingTooLarge(
                 f"table operations need at most {SCAN_LIMIT} elements, ring has {self.size}"
             )
-        return self._digits if cols is None else self._digits[np.asarray(cols, dtype=np.int64)]
+        if idx is None:
+            return self._digits_t
+        return self._digits_t[:, np.asarray(idx, dtype=np.int64)]
+
+    def _mod_p(self, a: np.ndarray) -> np.ndarray:
+        """a mod p in place, exact under the bound in the class docstring;
+        np.fmod gives the same and is slower."""
+        q = a / self.p
+        np.floor(q, out=q)
+        q *= self.p
+        a -= q
+        return a
 
     def mul_matrices(self, rows) -> np.ndarray:
-        """L[r,i,t] = sum_j r_j*M[i,j,t] mod p: row i of L_r holds the
-        coordinates of basis monomial i times r, so x*r = x @ L_r."""
-        r = self._digitize(np.asarray(rows, dtype=np.int64))
-        return np.tensordot(r, self.M, axes=([1], [1])) % self.p
+        """L[r,i,t] = sum_j r_j*M[i,j,t] mod p, as floats: row i of L_r holds
+        the coordinates of basis monomial i times r, so x*r = x @ L_r."""
+        return self._mod_p(np.tensordot(self._digit_rows(rows), self.M, axes=([0], [1])))
 
     def mul_rows(self, rows, cols=None) -> np.ndarray:
-        digits = self._col_digits(cols)
-        return (np.matmul(digits, self.mul_matrices(rows)) % self.p) @ self.radix
+        digits = self._digit_rows(cols)
+        lt = self.mul_matrices(rows).transpose(0, 2, 1)
+        # one gemm: row (r, t) of the product is coordinate t of cols * r
+        prod = (lt.reshape(-1, self.k) @ digits).reshape(len(lt), self.k, digits.shape[1])
+        return (self._radix @ self._mod_p(prod)).astype(np.int64)
 
     def scan_keys(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """Key each element r by the reduced row echelon form of L_r^T.
@@ -322,10 +358,8 @@ class _VectorModel:
         return reduced.reshape(len(reduced), self.k**2), self.p ** (self.k - rank)
 
     def add_rows(self, rows, cols=None) -> np.ndarray:
-        digits = self._col_digits(cols)
-        r = self._digitize(np.asarray(rows, dtype=np.int64))
-        s = (r[:, None, :] + digits[None, :, :]) % self.p
-        return s @ self.radix
+        s = self._digit_rows(rows).T[:, None, :] + self._digit_rows(cols).T[None, :, :]
+        return (self._mod_p(s) @ self._radix).astype(np.int64)
 
     def coeffs_to_index(self, coeffs) -> int:
         return int(np.dot(np.asarray(coeffs, dtype=np.int64), self.radix))

@@ -1,6 +1,7 @@
 """Basis-path graphs checked against direct modular arithmetic on divisors."""
 
 import importlib.util
+import io
 import itertools
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from zdgraph import compressed_graph
 from zdgraph.arithmetic import FpPoly, factor_integer, factor_polynomial, is_prime
+from zdgraph.cli import run
 from zdgraph.compressed_graph import (
     ZERO_CLASS,
     _in_order,
@@ -333,6 +335,24 @@ class TestExpandToFullGraph:
         g = CompressedGraph((Vertex("a", size=2),), (), loops_admitted=False)
         with pytest.raises(ValueError):
             expand_to_full_graph(g)
+
+    def test_json_does_not_carry_loop_admission(self):
+        # Z/6 admits loops but has no looped vertex, so its JSON reads back
+        # as a graph built without loops, which expansion refuses: without
+        # loop flags it cannot tell a clique from an independent set (in
+        # Z/9 the class {3, 6} is self-annihilating, but its unlooped
+        # graph shows no loop)
+        refusal = "^expansion needs a loop-admitting graph$"
+        out = io.StringIO()
+        assert run(["compress", "Z/6", "--loops", "--format", "json"], out=out) == 0
+        cli = from_json(out.getvalue())
+        assert not cli.loops_admitted and to_json(cli) == out.getvalue()
+        with pytest.raises(ValueError, match=refusal):
+            expand_to_full_graph(cli)
+        g = oracle_compressed_graph(IntegersMod(6), loops=True)
+        assert expand_to_full_graph(g) == Graph(("2#1", "2#2", "3#1"), ((0, 2), (1, 2)))
+        with pytest.raises(ValueError, match=refusal):
+            expand_to_full_graph(from_json(to_json(g)))
 
 
 def _perfbench_conjecture1_rings():

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from zdgraph.arithmetic import FpPoly
@@ -368,6 +368,68 @@ class TestLinearScan:
         q = quotient_by_ideal(base, [parse_element(base, "x*y")])
         assert ring_size(q) == 32
         assert_scan_matches_reference(q)
+
+
+def reference_matrices(model, rows):
+    """L[r,i,t] = sum_j r_j*M[i,j,t] mod p, in int64."""
+    p, k = model.p, model.k
+    digits = (np.asarray(rows, dtype=np.int64)[:, None] // p ** np.arange(k)) % p
+    return np.tensordot(digits, model.M.astype(np.int64), axes=([1], [1])) % p
+
+
+def reference_products(model, rows, cols):
+    """rows x cols as element indices, in int64; cols=None means every element."""
+    if hasattr(model, "coset_id"):
+        # a quotient ring multiplies coset representatives in its base
+        reps = model.reps
+        block = reference_products(model.base, reps[rows], reps if cols is None else reps[cols])
+        return model.coset_id[block]
+    p, k = model.p, model.k
+    cols = np.arange(model.size) if cols is None else np.asarray(cols, dtype=np.int64)
+    radix = p ** np.arange(k, dtype=np.int64)
+    digits = (cols[:, None] // radix) % p
+    return (np.matmul(digits, reference_matrices(model, rows)) % p) @ radix
+
+
+@st.composite
+def vector_quotients(draw):
+    """A quotient of an F_p-algebra by the ideal of one element."""
+    base = draw(st.one_of(poly_quotients(), bivariate_quotients()))
+    model = ring_table(base).model
+    gen = draw(st.integers(0, model.size - 1))
+    # a unit, which annihilates only 0, would generate the whole ring
+    assume((model.mul_rows([gen])[0] == 0).sum() > 1)
+    return quotient_by_ideal(base, [model.element(gen)])
+
+
+class TestVectorKernel:
+    """F_p-algebras multiply in floating point; every product must equal
+    the int64 formula above."""
+
+    @given(st.one_of(poly_quotients(), bivariate_quotients(), vector_quotients()), st.data())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_products_match_int64_reference(self, spec, data):
+        model = ring_table(spec).model
+        index = st.integers(0, model.size - 1)
+        rows = np.asarray(data.draw(st.lists(index, max_size=8)), dtype=np.int64)
+        cols = np.asarray(data.draw(st.lists(index, max_size=60)), dtype=np.int64)
+        for r, c in ((rows, cols), (rows, None), (rows[:0], cols), (rows, cols[:0])):
+            got = model.mul_rows(r, c)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference_products(model, r, c))
+        if hasattr(model, "mul_matrices"):
+            for r in (rows, rows[:0]):
+                assert np.array_equal(model.mul_matrices(r), reference_matrices(model, r))
+
+    @pytest.mark.parametrize("p", [2039, 2053, 4099])
+    def test_fields_either_side_of_the_float32_bound(self, p):
+        # a field F_p[x]/(x+1) forms products up to (p-1)^2: 2038^2 is just
+        # below 2^22, where float32 stops, 2052^2 just above it, and 4098^2
+        # above 2^24, where float32 no longer holds every product
+        model = ring_table(PolyQuotient(p, FpPoly(p, (1, 1)))).model
+        rows = np.r_[0:40, p - 40 : p]
+        assert np.array_equal(model.mul_rows(rows), reference_products(model, rows, None))
+        assert np.array_equal(model.mul_matrices(rows), reference_matrices(model, rows))
 
 
 class TestOracleCompressedGraph:
