@@ -8,14 +8,14 @@ and any agreement between the two routes is evidence, not circularity.
 
 Supported models: Z/n, F_p[x]/(f), F_p[x,y]/(monomial ideal with pure
 powers of both variables), and quotients of any of those by a finitely
-generated ideal.  Multiplication is carried out in blocked numpy index
-tables.  The annihilator scan of Z/n and of quotient rings groups elements
-by the zero pattern of their table rows; the scan of F_p-algebras
-(F_p[x]/(f) and the bivariate quotients) keys each element r by a k-by-k
-canonical form of its multiplication matrix over F_p, whose kernel is
-ann(r).  That matrix is read off the structure tensor, which is the
-multiplication table in coordinates, so neither scan ever sees a
-factorization.
+generated ideal, each quotient a model of its base's kind.
+Multiplication is carried out in blocked numpy index tables.  The
+annihilator scan of Z/n groups elements by the zero pattern of their table
+rows; the scan of F_p-algebras (all the others but Z/n windows) keys each
+element r by a k-by-k canonical form of its multiplication matrix over
+F_p, whose kernel is ann(r).  That matrix is read off the structure
+tensor, which is the multiplication table in coordinates, so neither scan
+ever sees a factorization.
 
 Everything derived from one ring spec lives in its RingTable, which
 ring_table(spec) returns: the model, the annihilator scan (built on first
@@ -31,6 +31,7 @@ holds them all and none is built twice.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from collections import OrderedDict
@@ -134,8 +135,10 @@ class BivariateMonomialQuotient:
 
     p: int
     generators: tuple[tuple[int, int], ...]
-    # the standard monomials, derived from the generators once
-    monomials: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    # the standard monomials, listed by standard_monomials on first use
+    monomials: tuple[tuple[int, int], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
@@ -153,15 +156,6 @@ class BivariateMonomialQuotient:
                 if g != h and g[0] <= h[0] and g[1] <= h[1]:
                     raise ValueError(f"generator {h} is divisible by {g}; use a minimal set")
         object.__setattr__(self, "generators", tuple(sorted(gens, key=lambda g: (g[0] + g[1], g[1]))))
-        xbound = min(a for a, b in gens if b == 0)
-        ybound = min(b for a, b in gens if a == 0)
-        monos = [
-            (a, b)
-            for a in range(xbound)
-            for b in range(ybound)
-            if not any(a >= ga and b >= gb for ga, gb in gens)
-        ]
-        object.__setattr__(self, "monomials", tuple(sorted(monos, key=lambda m: (m[0] + m[1], m[1]))))
 
 
 @dataclass(frozen=True)
@@ -183,9 +177,32 @@ class QuotientRing:
         object.__setattr__(self, "ideal_gen_indices", gens)
 
 
+def _staircase(spec: BivariateMonomialQuotient) -> list[tuple[int, int, int]]:
+    """(start, end, height) for each run of x-exponents whose columns of
+    standard monomials hold y^0 .. y^(height - 1).  Sorted by x-exponent, a
+    minimal set's y-exponents fall, and generator (a, b) caps the columns
+    from a up to the next generator's x-exponent at height b."""
+    steps = sorted(spec.generators)
+    return [(a, end, b) for (a, b), (end, _) in zip(steps, steps[1:])]
+
+
 def standard_monomials(spec: BivariateMonomialQuotient) -> tuple[tuple[int, int], ...]:
-    """Monomials outside the ideal, ordered by total degree then y-exponent."""
+    """Monomials outside the ideal, ordered by total degree then y-exponent;
+    listed once per spec."""
+    if spec.monomials is None:
+        monos = [(a, b) for start, end, h in _staircase(spec) for a in range(start, end) for b in range(h)]
+        object.__setattr__(spec, "monomials", tuple(sorted(monos, key=lambda m: (m[0] + m[1], m[1]))))
     return spec.monomials
+
+
+def _bivar_size(spec: BivariateMonomialQuotient) -> int:
+    """p^k for the k standard monomials, counted off the staircase and
+    refused above ENUMERATION_LIMIT before p^k is formed: p >= 2, so p^k
+    stays within the limit only while 2^k does."""
+    k = sum((end - start) * h for start, end, h in _staircase(spec))
+    if k >= ENUMERATION_LIMIT.bit_length() or spec.p**k > ENUMERATION_LIMIT:
+        raise RingTooLarge(f"ring has {spec.p}^{k} elements, above {ENUMERATION_LIMIT}")
+    return spec.p**k
 
 
 def ring_size(spec) -> int:
@@ -194,7 +211,7 @@ def ring_size(spec) -> int:
     if isinstance(spec, PolyQuotient):
         return spec.p**spec.modulus.degree
     if isinstance(spec, BivariateMonomialQuotient):
-        return spec.p ** len(standard_monomials(spec))
+        return _bivar_size(spec)
     if isinstance(spec, QuotientRing):
         return ring_table(spec).model.size
     raise TypeError(f"unsupported ring spec {spec!r}")
@@ -203,27 +220,14 @@ def ring_size(spec) -> int:
 # --- internal models: index arithmetic --------------------------------------
 
 
-class _ZeroPatternKeys:
-    """Scan keys for models with no linear structure: the packed zero
-    pattern of each element's row in the multiplication table."""
-
-    @property
-    def scan_block(self) -> int:
-        return self.row_block
-
-    def scan_keys(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        zero = self.mul_rows(rows) == 0
-        return np.packbits(zero, axis=1), zero.sum(axis=1)
-
-
-class _IntModel(_ZeroPatternKeys):
+class _IntModel:
     def __init__(self, n: int):
         # mul_rows multiplies two residues in int64, exact while (n-1)^2 < 2^63
         if n > 3037000500:
             raise RingTooLarge(f"ring has {n} elements, above 3037000500: its products overflow int64")
         self.n = n
         self.size = n
-        self.row_block = max(1, 2**21 // n)
+        self.row_block = self.scan_block = max(1, 2**21 // n)
 
     def _cols(self, cols, dtype) -> np.ndarray:
         if cols is None:
@@ -249,6 +253,20 @@ class _IntModel(_ZeroPatternKeys):
         """The sums rows x cols, with cols as in mul_rows."""
         r = np.asarray(rows, dtype=np.int64)
         return (r[:, None] + self._cols(cols, np.int64)) % self.n
+
+    def scan_keys(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Key each element by the packed zero pattern of its table row."""
+        zero = self.mul_rows(rows) == 0
+        return np.packbits(zero, axis=1), zero.sum(axis=1)
+
+    def quotient(self, gens) -> _IntModel:
+        """Z/n modulo the ideal of gens: Z/d, for the ideal's least positive
+        member d = gcd(n, gens), so each coset is indexed by its least member."""
+        return _IntModel(math.gcd(self.n, *gens))
+
+    def project(self, idx) -> np.ndarray:
+        """Each index of idx, from any Z/m that n divides, taken mod n."""
+        return np.asarray(idx, dtype=np.int64) % self.n
 
     def element(self, i: int):
         return int(i)
@@ -293,8 +311,9 @@ class _VectorModel:
         self.p = p
         self.k = struct.shape[0]
         self.size = p**self.k
-        self.row_block = max(1, 2**19 // (self.size * self.k))
-        self.scan_block = max(1, 2**18 // self.k**2)
+        # k = 0 is the zero ring, the quotient by an ideal that is the whole ring
+        self.row_block = max(1, 2**19 // (self.size * max(1, self.k)))
+        self.scan_block = max(1, 2**18 // max(1, self.k) ** 2)
         dtype = np.float32 if self.k * (p - 1) ** 2 < 2**22 else np.float64
         self.M = struct.astype(dtype)
         self.radix = p ** np.arange(self.k, dtype=np.int64)
@@ -361,6 +380,9 @@ class _VectorModel:
         s = self._digit_rows(rows).T[:, None, :] + self._digit_rows(cols).T[None, :, :]
         return (self._mod_p(s) @ self._radix).astype(np.int64)
 
+    def quotient(self, gens) -> _VectorQuotient:
+        return _VectorQuotient(self, gens)
+
     def coeffs_to_index(self, coeffs) -> int:
         return int(np.dot(np.asarray(coeffs, dtype=np.int64), self.radix))
 
@@ -393,10 +415,9 @@ class _PolyModel(_VectorModel):
 
 class _BivarModel(_VectorModel):
     def __init__(self, spec: BivariateMonomialQuotient):
+        _bivar_size(spec)  # refuses a ring above the bound before any monomial is listed
         monos = standard_monomials(spec)
         k = len(monos)
-        if spec.p**k > ENUMERATION_LIMIT:
-            raise RingTooLarge(f"ring has {spec.p}^{k} elements, above {ENUMERATION_LIMIT}")
         pos = {m: t for t, m in enumerate(monos)}
         struct = np.zeros((k, k, k), dtype=np.int64)
         for i, (a1, b1) in enumerate(monos):
@@ -418,53 +439,46 @@ class _BivarModel(_VectorModel):
         return self.coeffs_to_index(x)
 
 
-class _QuotModel(_ZeroPatternKeys):
-    """Cosets of an ideal of a base model, indexed by their least member.
+class _VectorQuotient(_VectorModel):
+    """An F_p-algebra modulo an ideal, on the base's free digits.
 
-    mul_rows(rows, cols) and add_rows(rows, cols) return the block of
-    products or sums rows x cols as coset indices; cols=None means every
-    coset.  The base multiplies only the representatives it is given.
+    The ideal is the row space of the generators' multiplication matrices
+    L_g.  In its reduced echelon form with each pivot at its row's highest
+    digit, a nonzero member's highest nonzero digit is a pivot, so adding
+    it to an element whose pivot digits are zero raises the index: each
+    coset's least member is its one member with zero pivot digits.  The
+    quotient's digits are the base's free digits in order, so its indices
+    list the cosets by least member; its structure tensor is the base's on
+    the free positions, each product reduced by the echelon rows.
     """
 
-    def __init__(self, spec: QuotientRing):
-        base = ring_table(spec.base).model
-        if base.size > SCAN_LIMIT:
-            raise RingTooLarge(f"quotient base has {base.size} elements, above {SCAN_LIMIT}")
-        ideal = _ideal_indices(base, spec.ideal_gen_indices)
-        if len(ideal) == base.size:
-            raise ValueError("ideal is the whole ring; the quotient would be the zero ring")
-        in_ideal = np.zeros(base.size, dtype=bool)
-        in_ideal[ideal] = True
-        coset_id = np.full(base.size, -1, dtype=np.int64)
-        reps = []
-        for x in range(base.size):
-            if coset_id[x] >= 0:
-                continue
-            coset = base.add_rows([x], ideal)[0]
-            coset_id[coset] = len(reps)
-            reps.append(x)
+    def __init__(self, base: _VectorModel, gens):
+        # every L_g's rows, highest digit first; no generator: the zero ideal
+        rows = base.mul_matrices(list(gens) or [0]).reshape(1, -1, base.k)[:, :, ::-1]
+        echelon = rows.astype(base._reduce_dtype, order="C")
+        rank = _row_reduce(echelon, base.p, base._inverse)[0]
+        echelon = echelon[0, :rank].astype(np.int64)
+        self.pivots = base.k - 1 - np.argmax(echelon != 0, axis=1)
+        self.free = np.setdiff1d(np.arange(base.k), self.pivots)
+        self.echelon = echelon[:, ::-1][:, self.free]
         self.base = base
-        self.reps = np.asarray(reps, dtype=np.int64)
-        self.coset_id = coset_id
-        self.size = len(reps)
-        # a block's intermediate is the base's rows x cosets products: keep
-        # the base's cell budget, counting columns as cosets
-        self.row_block = max(1, min(2**21 // base.size, base.row_block * base.size // self.size))
+        super().__init__(base.p, self._reduce(base.M[np.ix_(self.free, self.free)].astype(np.int64)))
 
-    def _reps(self, idx) -> np.ndarray:
-        return self.reps if idx is None else self.reps[np.asarray(idx, dtype=np.int64)]
+    def _reduce(self, coords: np.ndarray) -> np.ndarray:
+        """The free digits of base coordinates (last axis) once the echelon
+        rows have cleared their pivot digits."""
+        return (coords[..., self.free] - coords[..., self.pivots] @ self.echelon) % self.base.p
 
-    def mul_rows(self, rows, cols=None) -> np.ndarray:
-        return self.coset_id[self.base.mul_rows(self._reps(rows), self._reps(cols))]
-
-    def add_rows(self, rows, cols=None) -> np.ndarray:
-        return self.coset_id[self.base.add_rows(self._reps(rows), self._reps(cols))]
+    def project(self, idx) -> np.ndarray:
+        """The coset of each base index of idx."""
+        return self._reduce(self.base._digitize(np.asarray(idx, dtype=np.int64))) @ self.radix
 
     def element(self, i: int):
-        return self.base.element(int(self.reps[i]))
+        least = self._digitize(np.asarray([i], dtype=np.int64))[0] @ self.base.radix[self.free]
+        return self.base.element(int(least))
 
     def index(self, x) -> int:
-        return int(self.coset_id[self.base.index(x)])
+        return int(self.project([self.base.index(x)])[0])
 
 
 def _build_model(spec):
@@ -475,22 +489,29 @@ def _build_model(spec):
     if isinstance(spec, BivariateMonomialQuotient):
         return _BivarModel(spec)
     if isinstance(spec, QuotientRing):
-        return _QuotModel(spec)
+        base = ring_table(spec.base).model
+        if base.size > SCAN_LIMIT:
+            raise RingTooLarge(f"quotient base has {base.size} elements, above {SCAN_LIMIT}")
+        model = base.quotient(spec.ideal_gen_indices)
+        if model.size == 1:
+            raise ValueError("ideal is the whole ring; the quotient would be the zero ring")
+        return model
     raise TypeError(f"unsupported ring spec {spec!r}")
 
 
 def _row_reduce(a: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
-    """Bring each k-by-k matrix of the batch a to reduced row echelon form
-    over F_p, in place, and return the ranks.
+    """Bring each matrix of the batch a, with at least as many rows as
+    columns, to reduced row echelon form over F_p, in place, and return the
+    ranks.
 
     One elimination step per column, vectorized over the batch; inverse[v]
     is the inverse of v mod p, with inverse[0] = 0.
     """
-    batch, k, _ = a.shape
+    batch, rows, cols = a.shape
     every = np.arange(batch)
-    row_pos = np.arange(k)
+    row_pos = np.arange(rows)
     rank = np.zeros(batch, dtype=np.intp)
-    for c in range(k):
+    for c in range(cols):
         free = (a[:, :, c] != 0) & (row_pos >= rank[:, None])
         pivot = free.argmax(axis=1)
         has = free[every, pivot]
@@ -510,22 +531,6 @@ def _row_reduce(a: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
         a[m, rank[m]] = lead[m]
         rank += has
     return rank
-
-
-def _ideal_indices(model, gen_indices) -> np.ndarray:
-    """Indices of the ideal generated by the given elements, sorted.
-
-    The ideal is the sum of the principal ideals, and each principal ideal
-    is one row of the multiplication table.  Sums are formed
-    model.row_block rows at a time, so no |I| x n table is allocated."""
-    parts = [np.unique(model.mul_rows([int(g)])[0]) for g in gen_indices]
-    ideal = parts[0] if parts else np.zeros(1, dtype=np.int64)
-    for part in parts[1:]:
-        members = np.zeros(model.size, dtype=bool)
-        for start in range(0, len(part), model.row_block):
-            members[model.add_rows(part[start : start + model.row_block], ideal)] = True
-        ideal = np.flatnonzero(members)
-    return ideal
 
 
 # --- annihilator scan -------------------------------------------------------
@@ -548,10 +553,9 @@ def _annihilator_scan(model) -> _Scan:
     """Group every element by its exact annihilator set.
 
     Each model keys its elements so that two keys agree exactly when the
-    annihilators do: Z/n and quotient rings by the packed zero pattern of
-    the element's row in the multiplication table, F_p-algebras by a
-    canonical form of the element's multiplication matrix (see
-    _VectorModel.scan_keys).  Group ids follow first appearance in
+    annihilators do: Z/n by the packed zero pattern of the element's row in
+    the multiplication table, F_p-algebras by a canonical form of the
+    element's multiplication matrix (see _VectorModel.scan_keys).  Group ids follow first appearance in
     enumeration order, which makes everything downstream deterministic.
     Each group's annihilator mask comes from one table row of its first
     member, checked against the size the key predicted.  The members of
@@ -815,13 +819,19 @@ def count_regular_elements(spec) -> int:
     return ring.model.size - zd_total
 
 
+def _in_ideal(model, gens: list) -> np.ndarray:
+    """Whether each element lies in the ideal of gens: the elements that
+    the quotient by it sends to 0."""
+    quotient = model.quotient([model.index(g) for g in gens])
+    return quotient.project(np.arange(model.size)) == 0
+
+
 def ideal_members(spec, gens: list) -> list:
     """All elements of the ideal generated by gens, in enumeration order."""
     model = ring_table(spec).model
     if model.size > SCAN_LIMIT:
         raise RingTooLarge(f"ideal enumeration needs at most {SCAN_LIMIT} elements")
-    idx = _ideal_indices(model, [model.index(g) for g in gens])
-    return [model.element(int(i)) for i in idx]
+    return [model.element(int(i)) for i in np.flatnonzero(_in_ideal(model, gens))]
 
 
 def ideal_is_union(spec, ideal_gens: list, union_candidates: list) -> bool:
@@ -830,12 +840,11 @@ def ideal_is_union(spec, ideal_gens: list, union_candidates: list) -> bool:
     model = ring_table(spec).model
     if model.size > SCAN_LIMIT:
         raise RingTooLarge(f"ideal comparison needs at most {SCAN_LIMIT} elements")
-    ideal = _ideal_indices(model, [model.index(g) for g in ideal_gens])
-    parts = [np.asarray([0], dtype=np.int64)]
+    union = np.zeros(model.size, dtype=bool)
+    union[0] = True
     for c in union_candidates:
-        parts.append(model.mul_rows([model.index(c)])[0])
-    union = np.unique(np.concatenate(parts))
-    return bool(np.array_equal(ideal, union))
+        union[model.mul_rows([model.index(c)])[0]] = True
+    return bool(np.array_equal(_in_ideal(model, ideal_gens), union))
 
 
 def quotient_by_ideal(spec, gens: list) -> QuotientRing:
@@ -1030,9 +1039,7 @@ def format_ring_spec(spec) -> str:
     if isinstance(spec, BivariateMonomialQuotient):
         return f"F{spec.p}[x,y]/({','.join(format_monomial(g) for g in spec.generators)})"
     if isinstance(spec, QuotientRing):
-        model = ring_table(spec).model
-        gens = ",".join(
-            element_label(spec.base, model.base.element(i)) for i in spec.ideal_gen_indices
-        )
+        base = ring_table(spec.base).model
+        gens = ",".join(element_label(spec.base, base.element(i)) for i in spec.ideal_gen_indices)
         return f"{format_ring_spec(spec.base)} mod ({gens})"
     raise TypeError(f"unsupported ring spec {spec!r}")

@@ -172,6 +172,15 @@ class TestErrors:
         code, out, err = invoke(capsys, "conjecture", "2", "--instances", str(path))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["graph", "compress"])
+    def test_huge_bivariate_ring_exits_2_at_once(self, capsys, command):
+        # 9 million standard monomials: counted off the staircase, never listed
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, command, "F2[x,y]/(x^3000,y^3000)")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == "error: ring has 2^9000000 elements, above 1000000\n"
+
     def test_missing_instances_file_exits_2(self, capsys):
         code, _, err = invoke(capsys, "conjecture", "2", "--instances", "/tmp/nope-zd")
         assert code == 2
@@ -508,6 +517,11 @@ GOLDEN_DIGESTS = {
     # recorded while conjecture 1 still ran a full-graph search per pair
     "conjecture 1 --max-n 100 --report REPORT": "95953458c9f417442bf74c54d6df62dd1d6b2d455631ac88421cc6d84cf67fbd",
     "conjecture 1 --instances C1X --report REPORT": "b60719b8c207c4de31fd4501770bf727a4c3911e61456f86db78cd762ca07d3a",
+    # the default scans (Z/8 ... Z/96 and the polynomial and bivariate
+    # windows), recorded while quotient windows still looked up the coset of
+    # each product in their base
+    "conjecture 2 --report REPORT": "3706734956845b8062b4b2c796ce5755027ccdabacd6026fe35504806530859f",
+    "conjecture 3 --report REPORT": "118d91075421b64e481ca02d2df229f1998ec44b6b0c29271c142b60c5f9c9ea",
 }
 
 # Instance files named in GOLDEN_DIGESTS commands, for branches the default

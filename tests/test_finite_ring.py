@@ -5,6 +5,7 @@ Python loops so the vectorized implementation has something independent to
 answer to.
 """
 
+import functools
 import io
 import math
 import time
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from zdgraph.arithmetic import FpPoly
 from zdgraph.cli import run
+from zdgraph.conjectures import default_instances
 from zdgraph.finite_ring import (
     ENUMERATION_LIMIT,
     BivariateMonomialQuotient,
@@ -268,15 +270,16 @@ class TestZeroDivisorClasses:
                     assert annihilator(spec, (u * z) % n) == annihilator(spec, z)
 
 
-def reference_scan(spec):
-    """Group elements by the zero pattern of their full multiplication-table
-    row, by first appearance: class ids, (first, members, ann_count, mask)
-    per group, and the ids of the nonzero zero-divisor groups."""
-    model = ring_table(spec).model
+def reference_scan(model):
+    """Group the elements of a model by the zero pattern of their full
+    multiplication-table row, by first appearance: class ids, (first,
+    members, ann_count, mask) per group, and the ids of the nonzero
+    zero-divisor groups."""
     n = model.size
+    block = max(1, 2**16 // n)
     class_ids, groups, gid_of = [], [], {}
-    for start in range(0, n, model.row_block):
-        zero = model.mul_rows(np.arange(start, min(start + model.row_block, n))) == 0
+    for start in range(0, n, block):
+        zero = model.mul_rows(np.arange(start, min(start + block, n))) == 0
         for offset, row in enumerate(zero):
             mask = np.packbits(row).tobytes()
             if mask not in gid_of:
@@ -290,7 +293,7 @@ def reference_scan(spec):
 
 def assert_scan_matches_reference(spec):
     scan = ring_table(spec).scan
-    class_ids, groups, zd_gids = reference_scan(spec)
+    class_ids, groups, zd_gids = reference_scan(ring_table(spec).model)
     assert scan.class_ids.tolist() == class_ids
     assert [(g.first, g.members.tolist(), g.ann_count, g.mask) for g in scan.groups] == groups
     assert scan.zd_gids == zd_gids
@@ -363,7 +366,7 @@ class TestLinearScan:
         assert ring_size(spec) <= 2187
         assert_scan_matches_reference(spec)
 
-    def test_quotient_ring_keeps_zero_pattern_scan(self):
+    def test_quotient_window_matches_zero_pattern_grouping(self):
         base = BivariateMonomialQuotient(2, ((3, 0), (2, 1), (0, 3)))
         q = quotient_by_ideal(base, [parse_element(base, "x*y")])
         assert ring_size(q) == 32
@@ -377,13 +380,15 @@ def reference_matrices(model, rows):
     return np.tensordot(digits, model.M.astype(np.int64), axes=([1], [1])) % p
 
 
-def reference_products(model, rows, cols):
+def reference_products(spec, rows, cols):
     """rows x cols as element indices, in int64; cols=None means every element."""
-    if hasattr(model, "coset_id"):
-        # a quotient ring multiplies coset representatives in its base
-        reps = model.reps
-        block = reference_products(model.base, reps[rows], reps if cols is None else reps[cols])
-        return model.coset_id[block]
+    if isinstance(spec, QuotientRing):
+        # the coset of each product of coset representatives in the base
+        ref = reference_quotient(spec)
+        reps = ref.reps
+        block = reference_products(spec.base, reps[rows], reps if cols is None else reps[cols])
+        return ref.coset_id[block]
+    model = ring_table(spec).model
     p, k = model.p, model.k
     cols = np.arange(model.size) if cols is None else np.asarray(cols, dtype=np.int64)
     radix = p ** np.arange(k, dtype=np.int64)
@@ -391,15 +396,124 @@ def reference_products(model, rows, cols):
     return (np.matmul(digits, reference_matrices(model, rows)) % p) @ radix
 
 
+class ReferenceQuotient:
+    """A quotient ring by coset lookup.  The ideal is the sum of the
+    generators' principal ideals, each one row of the base's table; each
+    coset is found by adding its least member to the ideal, and a product
+    or sum of cosets is the coset of the base's product or sum of their
+    least members."""
+
+    def __init__(self, spec):
+        base = ring_table(spec.base).model
+        parts = [np.unique(base.mul_rows([g])[0]) for g in spec.ideal_gen_indices]
+        ideal = parts[0] if parts else np.zeros(1, dtype=np.int64)
+        for part in parts[1:]:
+            members = np.zeros(base.size, dtype=bool)
+            for start in range(0, len(part), 64):
+                members[base.add_rows(part[start : start + 64], ideal)] = True
+            ideal = np.flatnonzero(members)
+        coset_id = np.full(base.size, -1, dtype=np.int64)
+        reps = []
+        for x in range(base.size):
+            if coset_id[x] < 0:
+                coset_id[base.add_rows([x], ideal)[0]] = len(reps)
+                reps.append(x)
+        self.spec, self.base = spec, base
+        self.reps, self.coset_id, self.size = np.asarray(reps, dtype=np.int64), coset_id, len(reps)
+
+    def _reps(self, idx):
+        return self.reps if idx is None else self.reps[np.asarray(idx, dtype=np.int64)]
+
+    def mul_rows(self, rows, cols=None):
+        return self.coset_id[self.base.mul_rows(self._reps(rows), self._reps(cols))]
+
+    def add_rows(self, rows, cols=None):
+        return self.coset_id[self.base.add_rows(self._reps(rows), self._reps(cols))]
+
+    def element(self, i):
+        return self.base.element(int(self.reps[i]))
+
+    def format(self):
+        base = self.spec.base
+        gens = ",".join(element_label(base, self.base.element(i)) for i in self.spec.ideal_gen_indices)
+        return f"{format_ring_spec(base)} mod ({gens})"
+
+
+@functools.lru_cache(maxsize=128)
+def reference_quotient(spec):
+    return ReferenceQuotient(spec)
+
+
 @st.composite
 def vector_quotients(draw):
-    """A quotient of an F_p-algebra by the ideal of one element."""
+    """A proper quotient of an F_p-algebra by the ideal of one to three
+    non-units."""
     base = draw(st.one_of(poly_quotients(), bivariate_quotients()))
-    model = ring_table(base).model
-    gen = draw(st.integers(0, model.size - 1))
+    scan = ring_table(base).scan
     # a unit, which annihilates only 0, would generate the whole ring
-    assume((model.mul_rows([gen])[0] == 0).sum() > 1)
-    return quotient_by_ideal(base, [model.element(gen)])
+    nonunits = [int(i) for g in scan.groups if g.ann_count > 1 for i in g.members]
+    gens = draw(st.lists(st.sampled_from(nonunits), min_size=1, max_size=3))
+    spec = QuotientRing(base, tuple(gens))
+    # non-units of a ring that is not local can still generate all of it
+    assume(reference_quotient(spec).size > 1)
+    return spec
+
+
+@st.composite
+def integer_windows(draw):
+    """Z/n modulo the ideal of one to three residues, maybe the whole ring."""
+    n = draw(st.integers(2, 400))
+    gens = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    return QuotientRing(IntegersMod(n), tuple(gens))
+
+
+def default_windows():
+    """Every window of the default conjecture 2-4 scans (conjecture 3 scans
+    conjecture 2's)."""
+    sides = list(default_instances(2))
+    sides += [side for a1, g1, a2, g2 in default_instances(4) for side in ((a1, g1), (a2, g2))]
+    windows = []
+    for ambient, gens in sides:
+        model = ring_table(ambient).model
+        window = QuotientRing(ambient, tuple(model.index(g) for g in gens))
+        if window not in windows:
+            windows.append(window)
+    return windows
+
+
+def with_default_windows(test):
+    for window in default_windows():
+        test = example(window)(test)
+    return test
+
+
+class TestQuotientModel:
+    """Every quotient is built as a model of its base's kind; it must index,
+    multiply, add, scan and print exactly as coset lookup does."""
+
+    @given(st.one_of(vector_quotients(), integer_windows()))
+    @with_default_windows
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_coset_lookup(self, spec):
+        ref = reference_quotient(spec)
+        if ref.size == 1:
+            with pytest.raises(ValueError, match="^ideal is the whole ring; "):
+                ring_table(spec)
+            return
+        model, base = ring_table(spec).model, ring_table(spec.base).model
+        assert model.size == ref.size
+        assert [model.element(i) for i in range(model.size)] == [ref.element(i) for i in range(ref.size)]
+        assert [model.index(base.element(i)) for i in range(base.size)] == ref.coset_id.tolist()
+        for start in range(0, model.size, 256):
+            rows = np.arange(start, min(start + 256, model.size))
+            assert np.array_equal(model.mul_rows(rows), ref.mul_rows(rows))
+            assert np.array_equal(model.add_rows(rows), ref.add_rows(rows))
+        scan = ring_table(spec).scan
+        class_ids, groups, zd_gids = reference_scan(ref)
+        assert scan.class_ids.tolist() == class_ids
+        assert [(g.first, g.members.tolist(), g.ann_count, g.mask) for g in scan.groups] == groups
+        assert scan.zd_gids == zd_gids
+        assert format_ring_spec(spec) == ref.format()
 
 
 class TestVectorKernel:
@@ -416,7 +530,7 @@ class TestVectorKernel:
         for r, c in ((rows, cols), (rows, None), (rows[:0], cols), (rows, cols[:0])):
             got = model.mul_rows(r, c)
             assert got.dtype == np.int64
-            assert np.array_equal(got, reference_products(model, r, c))
+            assert np.array_equal(got, reference_products(spec, r, c))
         if hasattr(model, "mul_matrices"):
             for r in (rows, rows[:0]):
                 assert np.array_equal(model.mul_matrices(r), reference_matrices(model, r))
@@ -426,9 +540,10 @@ class TestVectorKernel:
         # a field F_p[x]/(x+1) forms products up to (p-1)^2: 2038^2 is just
         # below 2^22, where float32 stops, 2052^2 just above it, and 4098^2
         # above 2^24, where float32 no longer holds every product
-        model = ring_table(PolyQuotient(p, FpPoly(p, (1, 1)))).model
+        spec = PolyQuotient(p, FpPoly(p, (1, 1)))
+        model = ring_table(spec).model
         rows = np.r_[0:40, p - 40 : p]
-        assert np.array_equal(model.mul_rows(rows), reference_products(model, rows, None))
+        assert np.array_equal(model.mul_rows(rows), reference_products(spec, rows, None))
         assert np.array_equal(model.mul_matrices(rows), reference_matrices(model, rows))
 
 
@@ -529,6 +644,11 @@ class TestIdeals:
     def test_principal_ideal_members(self):
         assert ideal_members(IntegersMod(12), [4]) == [0, 4, 8]
         assert ideal_members(IntegersMod(12), [8]) == [0, 4, 8]
+        # no generator gives the zero ideal, a unit the whole ring
+        for spec in (IntegersMod(12), F2XY):
+            elems = enumerate_elements(spec)
+            assert ideal_members(spec, []) == elems[:1]
+            assert ideal_members(spec, [parse_element(spec, "1")]) == elems
 
     def test_two_generators_close_under_addition(self):
         got = ideal_members(F2XY, [parse_element(F2XY, "x"), parse_element(F2XY, "y")])
@@ -545,6 +665,10 @@ class TestIdeals:
             ("F2[x,y]/(x^3,y^3)", "x^2, x*y, y^2"),
             ("F3[x,y]/(x^2,y^2)", "x+y, x*y"),
             ("F2[x]/(x^4+x^2)", "x^3+x^2, x^2+x"),
+            # more generator rows than digits, some of them redundant
+            ("F2[x]/(x^6)", "x^3+x^2, x^4"),
+            ("F3[x,y]/(x^2,y^3)", "x+2*y^2, x*y, y^2"),
+            ("F5[x]/(x^4+x^2)", "x^2, x^3, 2*x^3+3*x^2"),
         ],
     )
     def test_members_are_the_additive_closure(self, spec, gens):
@@ -628,19 +752,21 @@ class TestQuotientRing:
         assert a.edges == b.edges
 
     def test_quotient_by_a_small_ideal_builds_quickly(self):
-        # 8192 cosets of two elements each; the cosets are found by adding
-        # each representative to the ideal's members only
+        # 8192 cosets of two elements each: the window is a vector model on
+        # the base's 13 free digits, so it builds and scans like F2[x]/(x^13)
         window = PolyQuotient(2, FpPoly(2, (0,) * 14 + (1,)))
         start = time.perf_counter()
         q = quotient_by_ideal(window, [FpPoly(2, (0,) * 13 + (1,))])
+        regular = count_regular_elements(q)
         elapsed = time.perf_counter() - start
         direct = PolyQuotient(2, FpPoly(2, (0,) * 13 + (1,)))
         assert enumerate_elements(q) == enumerate_elements(direct)
-        assert elapsed < 3
+        assert regular == count_regular_elements(direct) == 4097
+        assert elapsed < 2
 
     def test_quotient_blocks_memory_is_bounded(self):
         # 2048 cosets of a ring with 12 digits: a block of products in flight
-        # holds rows x cosets x digits base entries
+        # holds rows x cosets x digits entries, in the window's 11 digits
         window = PolyQuotient(2, FpPoly(2, (0,) * 12 + (1,)))
         q = quotient_by_ideal(window, [FpPoly(2, (0,) * 11 + (1,))])
         ring_table(q).model
