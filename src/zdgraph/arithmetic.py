@@ -41,6 +41,7 @@ __all__ = [
     "UncertifiedPrime",
     "monic_polys",
     "format_poly_compact",
+    "format_coeffs_compact",
     "parse_poly_compact",
     "format_poly_pretty",
     "parse_poly_pretty",
@@ -660,9 +661,18 @@ def gcd_exponents(k: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
 
 def format_poly_compact(f: FpPoly) -> str:
     """Serialize as "c0,c1,...,ck@p", constant term first."""
-    if f.is_zero:
-        return f"0@{f.p}"
-    return ",".join(str(c) for c in f.coeffs) + f"@{f.p}"
+    return format_coeffs_compact(f.coeffs, f.p)
+
+
+def format_coeffs_compact(coeffs, p: int) -> str:
+    """format_poly_compact of the polynomial with these coefficients, ints
+    in [0, p) with the constant term first; high zeros are dropped."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    if not end:
+        return f"0@{p}"
+    return ",".join(map(str, coeffs[:end])) + f"@{p}"
 
 
 def parse_poly_compact(s: str) -> FpPoly:

@@ -15,7 +15,12 @@ rows; the scan of F_p-algebras (all the others but Z/n windows) keys each
 element r by a k-by-k canonical form of its multiplication matrix over
 F_p, whose kernel is ann(r).  That matrix is read off the structure
 tensor, which is the multiplication table in coordinates, so neither scan
-ever sees a factorization.
+ever sees a factorization.  The nonzero multiples of r share its key, so
+one matrix per F_p-line is reduced, and each block's matrices are reduced
+together, the batch on the last axis.  The structure tensor and the digit
+table exist only for rings of at most SCAN_LIMIT elements, the only ones
+any table operation accepts; graph labels are rendered from the digit
+table, a whole index array at a time.
 
 Everything derived from one ring spec lives in its RingTable, which
 ring_table(spec) returns: the model, the annihilator scan (built on first
@@ -42,6 +47,7 @@ import numpy as np
 
 from .arithmetic import (
     FpPoly,
+    format_coeffs_compact,
     format_poly_compact,
     format_poly_pretty,
     is_prime,
@@ -307,27 +313,27 @@ class _VectorModel:
     indices that digits combine into stay below p^k <= 20000.
     """
 
-    def __init__(self, p: int, struct: np.ndarray):
+    def __init__(self, p: int, k: int):
         self.p = p
-        self.k = struct.shape[0]
-        self.size = p**self.k
+        self.k = k
+        self.size = p**k
         # k = 0 is the zero ring, the quotient by an ideal that is the whole ring
-        self.row_block = max(1, 2**19 // (self.size * max(1, self.k)))
-        self.scan_block = max(1, 2**18 // max(1, self.k) ** 2)
-        dtype = np.float32 if self.k * (p - 1) ** 2 < 2**22 else np.float64
-        self.M = struct.astype(dtype)
-        self.radix = p ** np.arange(self.k, dtype=np.int64)
+        self.row_block = max(1, 2**19 // (self.size * max(1, k)))
+        self.scan_block = max(1, 2**18 // max(1, k) ** 2)
+        dtype = np.float32 if k * (p - 1) ** 2 < 2**22 else np.float64
+        self.radix = p ** np.arange(k, dtype=np.int64)
         self._radix = self.radix.astype(dtype)
         # row reduction adds products of two residues to a residue, so its
         # entries stay below p^2
         self._reduce_dtype = np.min_scalar_type(p * p - 1)
         if self.size > SCAN_LIMIT:
-            self._digits_t = None
-        else:
-            self._digits_t = self._digitize(np.arange(self.size, dtype=np.int64)).T.astype(dtype)
-            self._inverse = np.array(
-                [pow(a, -1, p) if a else 0 for a in range(p)], dtype=self._reduce_dtype
-            )
+            # every table operation refuses the ring, so nothing would read
+            # the structure tensor or the digits
+            self.M = self._digits_t = None
+            return
+        self.M = self._structure().astype(dtype)
+        self._digits_t = self._digitize(np.arange(self.size, dtype=np.int64)).T.astype(dtype)
+        self._inverse = np.array([pow(a, -1, p) if a else 0 for a in range(p)], dtype=self._reduce_dtype)
 
     def _digitize(self, idx: np.ndarray) -> np.ndarray:
         return (idx[:, None] // self.radix) % self.p
@@ -371,10 +377,20 @@ class _VectorModel:
         column space of L_r; that column space is the row space of L_r^T,
         and its reduced echelon form is unique.  So two elements share a key
         exactly when their annihilators agree, and |ann(r)| = p^(k - rank).
+
+        One matrix is reduced per F_p-line: for c != 0, c*r has matrix
+        c*L_r, whose rows span the same space, so c*r has r's key exactly.
+        Each element takes the key of its multiple whose highest nonzero
+        digit is 1 (0 keeps its own), and the distinct multiples of the
+        block go to _row_reduce as one (row, column, element) batch.
         """
-        reduced = self.mul_matrices(rows).transpose(0, 2, 1).astype(self._reduce_dtype, order="C")
+        digits = self._digit_rows(rows).astype(np.int64)
+        top = digits[self.k - 1 - (digits[::-1] != 0).argmax(axis=0), np.arange(digits.shape[1])]
+        lines, line_of = np.unique(self.radix @ (digits * self._inverse[top] % self.p), return_inverse=True)
+        reduced = self.mul_matrices(lines).transpose(2, 1, 0).astype(self._reduce_dtype, order="C")
         rank = _row_reduce(reduced, self.p, self._inverse)
-        return reduced.reshape(len(reduced), self.k**2), self.p ** (self.k - rank)
+        keys = reduced.reshape(self.k**2, len(lines)).T[line_of]
+        return keys, self.p ** (self.k - rank[line_of])
 
     def add_rows(self, rows, cols=None) -> np.ndarray:
         s = self._digit_rows(rows).T[:, None, :] + self._digit_rows(cols).T[None, :, :]
@@ -392,16 +408,20 @@ class _VectorModel:
 
 class _PolyModel(_VectorModel):
     def __init__(self, spec: PolyQuotient):
-        f = spec.modulus
-        k = f.degree
-        struct = np.zeros((k, k, k), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                rem = FpPoly(spec.p, (0,) * (i + j) + (1,)) % f
-                for t, c in enumerate(rem.coeffs):
-                    struct[i, j, t] = c
-        super().__init__(spec.p, struct)
-        self.modulus = f
+        self.modulus = spec.modulus
+        super().__init__(spec.p, spec.modulus.degree)
+
+    def _structure(self) -> np.ndarray:
+        """M[i, j] holds the coordinates of x^(i+j) mod f, read off the 2k-1
+        powers x^t mod f: f is monic, so x^k = -(f - x^k)."""
+        k, p = self.k, self.p
+        tail = np.array(self.modulus.coeffs[:k], dtype=np.int64)
+        powers = np.zeros((2 * k - 1, k), dtype=np.int64)
+        powers[0, 0] = 1
+        for t in range(1, 2 * k - 1):
+            powers[t, 1:] = powers[t - 1, :-1]
+            powers[t] = (powers[t] - powers[t - 1, -1] * tail) % p
+        return powers[np.add.outer(np.arange(k), np.arange(k))]
 
     def element(self, i: int) -> FpPoly:
         return FpPoly(self.p, self.index_to_coeffs(i))
@@ -416,17 +436,19 @@ class _PolyModel(_VectorModel):
 class _BivarModel(_VectorModel):
     def __init__(self, spec: BivariateMonomialQuotient):
         _bivar_size(spec)  # refuses a ring above the bound before any monomial is listed
-        monos = standard_monomials(spec)
-        k = len(monos)
+        self.spec = spec
+        super().__init__(spec.p, len(standard_monomials(spec)))
+
+    def _structure(self) -> np.ndarray:
+        monos = standard_monomials(self.spec)
         pos = {m: t for t, m in enumerate(monos)}
-        struct = np.zeros((k, k, k), dtype=np.int64)
+        struct = np.zeros((self.k,) * 3, dtype=np.int64)
         for i, (a1, b1) in enumerate(monos):
             for j, (a2, b2) in enumerate(monos):
                 m = (a1 + a2, b1 + b2)
-                if not any(m[0] >= ga and m[1] >= gb for ga, gb in spec.generators):
+                if not any(m[0] >= ga and m[1] >= gb for ga, gb in self.spec.generators):
                     struct[i, j, pos[m]] = 1
-        super().__init__(spec.p, struct)
-        self.monomials = monos
+        return struct
 
     def element(self, i: int) -> tuple[int, ...]:
         return self.index_to_coeffs(i)
@@ -453,16 +475,20 @@ class _VectorQuotient(_VectorModel):
     """
 
     def __init__(self, base: _VectorModel, gens):
-        # every L_g's rows, highest digit first; no generator: the zero ideal
-        rows = base.mul_matrices(list(gens) or [0]).reshape(1, -1, base.k)[:, :, ::-1]
-        echelon = rows.astype(base._reduce_dtype, order="C")
+        # every L_g's rows, highest digit first, as a batch of one matrix;
+        # no generator: the zero ideal
+        rows = base.mul_matrices(list(gens) or [0]).reshape(-1, base.k)[:, ::-1]
+        echelon = rows.astype(base._reduce_dtype, order="C")[:, :, None]
         rank = _row_reduce(echelon, base.p, base._inverse)[0]
-        echelon = echelon[0, :rank].astype(np.int64)
+        echelon = echelon[:rank, :, 0].astype(np.int64)
         self.pivots = base.k - 1 - np.argmax(echelon != 0, axis=1)
         self.free = np.setdiff1d(np.arange(base.k), self.pivots)
         self.echelon = echelon[:, ::-1][:, self.free]
         self.base = base
-        super().__init__(base.p, self._reduce(base.M[np.ix_(self.free, self.free)].astype(np.int64)))
+        super().__init__(base.p, len(self.free))
+
+    def _structure(self) -> np.ndarray:
+        return self._reduce(self.base.M[np.ix_(self.free, self.free)].astype(np.int64))
 
     def _reduce(self, coords: np.ndarray) -> np.ndarray:
         """The free digits of base coordinates (last axis) once the echelon
@@ -473,9 +499,12 @@ class _VectorQuotient(_VectorModel):
         """The coset of each base index of idx."""
         return self._reduce(self.base._digitize(np.asarray(idx, dtype=np.int64))) @ self.radix
 
+    def lift(self, idx) -> np.ndarray:
+        """The base index of each coset's least member, for idx."""
+        return self._digitize(np.asarray(idx, dtype=np.int64)) @ self.base.radix[self.free]
+
     def element(self, i: int):
-        least = self._digitize(np.asarray([i], dtype=np.int64))[0] @ self.base.radix[self.free]
-        return self.base.element(int(least))
+        return self.base.element(int(self.lift([i])[0]))
 
     def index(self, x) -> int:
         return int(self.project([self.base.index(x)])[0])
@@ -500,35 +529,42 @@ def _build_model(spec):
 
 
 def _row_reduce(a: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
-    """Bring each matrix of the batch a, with at least as many rows as
-    columns, to reduced row echelon form over F_p, in place, and return the
-    ranks.
+    """Bring each matrix a[:, :, b] of the batch a, with at least as many
+    rows as columns, to reduced row echelon form over F_p, in place, and
+    return the ranks.
 
-    One elimination step per column, vectorized over the batch; inverse[v]
-    is the inverse of v mod p, with inverse[0] = 0.
+    The batch runs along the last axis of the C-contiguous a, of shape
+    (rows, cols, batch), so every elimination step works on contiguous runs
+    of the whole batch, not on one short row per matrix.  One step per
+    column; inverse[v] is the inverse of v mod p, with inverse[0] = 0.
     """
-    batch, rows, cols = a.shape
+    rows, cols, batch = a.shape
+    flat = a.reshape(-1)  # a view, as a is C-contiguous
     every = np.arange(batch)
-    row_pos = np.arange(rows)
+    row_pos = np.arange(rows)[:, None]
     rank = np.zeros(batch, dtype=np.intp)
     for c in range(cols):
-        free = (a[:, :, c] != 0) & (row_pos >= rank[:, None])
-        pivot = free.argmax(axis=1)
-        has = free[every, pivot]
-        m = every[has]
-        top = a[m, rank[m]]
-        a[m, rank[m]] = a[m, pivot[m]]
-        a[m, pivot[m]] = top
+        free = (a[:, c] != 0) & (row_pos >= rank)
+        pivot = free.argmax(axis=0)
+        has = free[pivot, every]
+        # where column c has no pivot, row rank is swapped with itself
+        pivot = np.where(has, pivot, rank)
+        # flat positions of columns c.. of row rank and row pivot, (cols - c, batch);
+        # both rows are zero left of column c
+        span = (np.arange(c, cols) * batch)[:, None] + every
+        at_rank = rank * (cols * batch) + span
+        at_pivot = pivot * (cols * batch) + span
+        prow = flat[at_pivot]
+        flat[at_pivot] = flat[at_rank]
+        flat[at_rank] = prow
         # the normalized pivot row; all zero where column c has no pivot
-        lead = a[every, rank] * inverse[a[every, rank, c]][:, None] % p
-        # adding (p - v) * lead clears an entry v of column c; the pivot row
-        # gets p * lead, which leaves it as it was
-        factor = p - a[:, :, c]
-        factor[every, rank] = p
-        # rows at or below the rank are zero left of column c, so is lead
-        a[:, :, c:] += factor[:, :, None] * lead[:, None, c:]
-        a[:, :, c:] %= p
-        a[m, rank[m]] = lead[m]
+        lead = prow * inverse[prow[0]] % p
+        # adding (p - v) * lead clears an entry v of column c; the pivot row,
+        # v * lead, gets (p + 1 - v) * lead and becomes lead
+        factor = p - a[:, c]
+        factor[rank, every] += 1
+        a[:, c:] += factor[:, None] * lead
+        a[:, c:] %= p
         rank += has
     return rank
 
@@ -616,6 +652,7 @@ class RingTable:
       members, mask (packed annihilator bits) and ann_count; zd_gids lists
       the groups of nonzero zero-divisors.
     keep(build): build(spec) once for a caller that reuses what it builds.
+    labels(idx): element_label of each element index of idx.
 
     Tables come from ring_table(spec) and may be shared by every caller,
     so nothing reached from a table may be mutated: the scan is tuples and
@@ -643,6 +680,11 @@ class RingTable:
             self._kept[build] = build(self.spec)
             _TABLES.charge(self, _nbytes(self._kept[build]))
         return self._kept[build]
+
+    def labels(self, idx) -> list[str]:
+        """element_label of each element index of idx, in one pass over the
+        digit table rather than one element at a time."""
+        return _labels(self.spec, self.model, np.asarray(idx, dtype=np.int64))
 
 
 class _TableCache:
@@ -771,10 +813,9 @@ def oracle_compressed_graph(spec, loops: bool) -> CompressedGraph:
     scan, model = ring.scan, ring.model
     # (label, representative, size) in label order, so that the edges come
     # out in canonical order
-    classes = sorted(
-        (element_label(spec, model.element(g.first)), g.first, len(g.members))
-        for g in (scan.groups[gid] for gid in scan.zd_gids)
-    )
+    groups = [scan.groups[gid] for gid in scan.zd_gids]
+    firsts = [g.first for g in groups]
+    classes = sorted(zip(ring.labels(firsts), firsts, (len(g.members) for g in groups)))
     reps = [first for _, first, _ in classes]
     table = model.mul_rows(reps, reps) == 0 if reps else np.zeros((0, 0), dtype=bool)
     verts = tuple(
@@ -796,7 +837,7 @@ def full_zero_divisor_graph(spec) -> Graph:
     is_zd = np.zeros(len(scan.groups), dtype=bool)
     is_zd[list(scan.zd_gids)] = True
     zd = np.flatnonzero(is_zd[scan.class_ids])
-    labels = [element_label(spec, model.element(int(i))) for i in zd]
+    labels = ring.labels(zd)
     # in label order, so that the edges come out in canonical order
     order = sorted(range(len(zd)), key=labels.__getitem__)
     zd = zd[np.array(order, dtype=np.int64)]
@@ -871,11 +912,6 @@ def add_elements(spec, a, b):
 # --- element text forms -----------------------------------------------------
 
 
-def _bivar_term_order(monomial: tuple[int, int]) -> tuple[int, int]:
-    a, b = monomial
-    return (-(a + b), b)
-
-
 def format_monomial(m: tuple[int, int]) -> str:
     a, b = m
     parts = []
@@ -907,21 +943,23 @@ def parse_monomial(text: str) -> tuple[int, int]:
     return (a, b)
 
 
-def _format_bivar_element(spec: BivariateMonomialQuotient, coeffs: tuple[int, ...]) -> str:
+def _bivar_formatter(spec: BivariateMonomialQuotient):
+    """The text of a bivariate element from its coefficients, one per
+    standard monomial: its nonzero terms by falling total degree, then
+    rising y-exponent; the order and monomial texts are worked out once."""
     monos = standard_monomials(spec)
-    terms = [(m, c) for m, c in zip(monos, coeffs) if c]
-    if not terms:
-        return "0"
-    terms.sort(key=lambda mc: _bivar_term_order(mc[0]))
-    rendered = []
-    for m, c in terms:
-        if m == (0, 0):
-            rendered.append(str(c))
-        elif c == 1:
-            rendered.append(format_monomial(m))
-        else:
-            rendered.append(f"{c}*{format_monomial(m)}")
-    return "+".join(rendered)
+    order = sorted(range(len(monos)), key=lambda t: (-sum(monos[t]), monos[t][1]))
+    terms = [(t, format_monomial(monos[t])) for t in order]
+
+    def render(coeffs) -> str:
+        rendered = []
+        for t, mono in terms:
+            c = coeffs[t]
+            if c:
+                rendered.append(mono if c == 1 else str(c) if mono == "1" else f"{c}*{mono}")
+        return "+".join(rendered) or "0"
+
+    return render
 
 
 def _parse_bivar_element(spec: BivariateMonomialQuotient, text: str) -> tuple[int, ...]:
@@ -953,6 +991,23 @@ def _parse_bivar_element(spec: BivariateMonomialQuotient, text: str) -> tuple[in
     return tuple(coeffs)
 
 
+def _labels(spec, model, idx: np.ndarray) -> list[str]:
+    """element_label of each index of idx in model, the model of spec; the
+    digits of an F_p-algebra's elements come from its digit table at once
+    and are formatted by the same rules element_label uses."""
+    if isinstance(spec, QuotientRing):
+        if isinstance(spec.base, IntegersMod):
+            # each coset of Z/n is indexed by its least member, its base index
+            return _labels(spec.base, model, idx)
+        return _labels(spec.base, model.base, model.lift(idx))
+    if isinstance(spec, IntegersMod):
+        return [element_label(spec, i) for i in idx.tolist()]
+    digits = model._digit_rows(idx).T.astype(np.int64).tolist()
+    if isinstance(spec, PolyQuotient):
+        return [format_coeffs_compact(d, spec.p) for d in digits]
+    return list(map(_bivar_formatter(spec), digits))
+
+
 def element_label(spec, x) -> str:
     """Canonical text for a ring element; used for graph labels and the CLI."""
     if isinstance(spec, QuotientRing):
@@ -962,7 +1017,7 @@ def element_label(spec, x) -> str:
     if isinstance(spec, PolyQuotient):
         return format_poly_compact(x)
     if isinstance(spec, BivariateMonomialQuotient):
-        return _format_bivar_element(spec, x)
+        return _bivar_formatter(spec)(x)
     raise TypeError(f"unsupported ring spec {spec!r}")
 
 

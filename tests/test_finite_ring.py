@@ -48,6 +48,7 @@ from zdgraph.finite_ring import (
     standard_monomials,
     zero_divisor_classes,
 )
+from zdgraph.finite_ring import _row_reduce
 
 F2XY = BivariateMonomialQuotient(2, ((2, 0), (0, 2)))
 
@@ -361,9 +362,15 @@ class TestLinearScan:
     @given(st.one_of(poly_quotients(), bivariate_quotients()))
     @example(BivariateMonomialQuotient(2, ((3, 0), (2, 1), (0, 3))))
     @example(PolyQuotient(3, FpPoly(3, (0,) * 7 + (1,))))
+    # above p = 7, where one key serves the p - 1 nonzero multiples of an element
+    @example(parse_ring_spec("F13[x]/(x^3+8*x^2+4*x+5)"))
+    @example(parse_ring_spec("F29[x]/(x^2+12*x+7)"))
+    @example(parse_ring_spec("F101[x]/(x^2)"))
+    @example(parse_ring_spec("F5[x]/(x^4+x^2)"))
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_matches_zero_pattern_grouping(self, spec):
-        assert ring_size(spec) <= 2187
+        # drawn rings have at most 3^7 elements, the examples up to 101^2
+        assert ring_size(spec) <= 101**2
         assert_scan_matches_reference(spec)
 
     def test_quotient_window_matches_zero_pattern_grouping(self):
@@ -371,6 +378,69 @@ class TestLinearScan:
         q = quotient_by_ideal(base, [parse_element(base, "x*y")])
         assert ring_size(q) == 32
         assert_scan_matches_reference(q)
+
+
+def reference_row_reduce(a, p, inverse):
+    """Reference for _row_reduce with the batch on the first axis: each
+    matrix a[b], with at least as many rows as columns, to reduced row
+    echelon form over F_p in place, one matrix row at a time; returns the
+    ranks."""
+    batch, rows, cols = a.shape
+    every = np.arange(batch)
+    row_pos = np.arange(rows)
+    rank = np.zeros(batch, dtype=np.intp)
+    for c in range(cols):
+        free = (a[:, :, c] != 0) & (row_pos >= rank[:, None])
+        pivot = free.argmax(axis=1)
+        has = free[every, pivot]
+        m = every[has]
+        top = a[m, rank[m]]
+        a[m, rank[m]] = a[m, pivot[m]]
+        a[m, pivot[m]] = top
+        lead = a[every, rank] * inverse[a[every, rank, c]][:, None] % p
+        factor = p - a[:, :, c]
+        factor[every, rank] = p
+        a[:, :, c:] += factor[:, :, None] * lead[:, None, c:]
+        a[:, :, c:] %= p
+        a[m, rank[m]] = lead[m]
+        rank += has
+    return rank
+
+
+@st.composite
+def matrix_batches(draw):
+    """(p, a batch of matrices, batch first): square or m*k x k, with many
+    zero entries so that ranks fall short, and some matrices all zero."""
+    p = draw(st.sampled_from((2, 3, 5, 13, 29, 4099)))
+    cols = draw(st.integers(1, 6))
+    rows = cols * draw(st.integers(1, 3))
+    batch = draw(st.integers(1, 12))
+    entry = st.sampled_from((0, 0, 0, 1, p - 1)) | st.integers(0, p - 1)
+    a = np.array(draw(st.lists(entry, min_size=batch * rows * cols, max_size=batch * rows * cols)))
+    a = a.reshape(batch, rows, cols)
+    a[np.array(draw(st.lists(st.booleans(), min_size=batch, max_size=batch)))] = 0
+    return p, a
+
+
+class TestRowReduce:
+    """The batch-last elimination must give the same reduced matrices and
+    ranks as the batch-first reference."""
+
+    @given(matrix_batches())
+    @example((2, np.zeros((1, 3, 3), dtype=np.int64)))
+    @example((4099, np.array([[[0, 4098], [0, 2], [1, 0], [0, 0]]])))
+    @example((3, np.array([[[1, 2], [2, 1]], [[0, 0], [0, 0]], [[0, 1], [1, 0]]])))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_batch_first_reference(self, batch):
+        p, a = batch
+        dtype = np.min_scalar_type(p * p - 1)
+        inverse = np.array([pow(v, -1, p) if v else 0 for v in range(p)], dtype=dtype)
+        expected = a.astype(dtype)
+        expected_rank = reference_row_reduce(expected, p, inverse)
+        got = a.transpose(1, 2, 0).astype(dtype, order="C")
+        rank = _row_reduce(got, p, inverse)
+        assert rank.tolist() == expected_rank.tolist()
+        assert np.array_equal(got.transpose(2, 0, 1), expected)
 
 
 def reference_matrices(model, rows):
@@ -545,6 +615,31 @@ class TestVectorKernel:
         rows = np.r_[0:40, p - 40 : p]
         assert np.array_equal(model.mul_rows(rows), reference_products(spec, rows, None))
         assert np.array_equal(model.mul_matrices(rows), reference_matrices(model, rows))
+
+
+class TestBatchLabels:
+    """A ring table renders the labels of an index array at once; each must
+    be element_label of the element at that index."""
+
+    def test_integers(self):
+        for n in range(2, 201):
+            ring = ring_table(IntegersMod(n))
+            assert ring.labels(np.arange(n)) == [element_label(ring.spec, i) for i in range(n)]
+
+    @given(
+        st.one_of(poly_quotients(), bivariate_quotients(), vector_quotients(), integer_windows()),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_element_label(self, spec, data):
+        if isinstance(spec, QuotientRing):
+            assume(reference_quotient(spec).size > 1)
+        ring = ring_table(spec)
+        model = ring.model
+        expected = [element_label(spec, model.element(i)) for i in range(model.size)]
+        assert ring.labels(np.arange(model.size)) == expected
+        idx = data.draw(st.lists(st.integers(0, model.size - 1), max_size=20))
+        assert ring.labels(idx) == [expected[i] for i in idx]
 
 
 class TestOracleCompressedGraph:
