@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -45,7 +47,7 @@ from .finite_ring import (
     parse_ring_spec,
 )
 from .isomorphism import DEFAULT_BUDGET, SearchBudgetExceeded, graphs_isomorphic
-from .sweeps import blowup_sweep, gcd_theorem_sweep, oracle_equivalence_sweep
+from .sweeps import SweepOutcome, blowup_sweep, gcd_theorem_sweep, oracle_equivalence_sweep
 
 
 def compressed_for(spec, loops: bool):
@@ -127,12 +129,101 @@ def _cmd_iso(args, out) -> int:
     return 0 if report.isomorphic else 1
 
 
+# Consecutive moduli per block of verify's fan-out: small enough that the
+# blocks spread evenly over the workers, large enough that each pickled
+# outcome carries many rings.
+_VERIFY_BLOCK = 16
+
+
+def _check_blocks(sweeps, blocks) -> list:
+    """Each block's row of sweep outcomes, None where a sweep raised."""
+    rows = []
+    for lo, hi in blocks:
+        row = []
+        for sweep in sweeps:
+            try:
+                row.append(sweep(max_n=hi, min_n=lo))
+            except Exception:  # the serial re-run raises it again, in order
+                row.append(None)
+        rows.append(row)
+    return rows
+
+
+def _fork_check(sweeps, blocks):
+    """A child that checks blocks and pickles its rows into a pipe; its pid
+    and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as fh:
+                pickle.dump(_check_blocks(sweeps, blocks), fh)
+            code = 0
+        finally:
+            # never return into the parent's stack, nor run its exit handlers
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _verify_outcomes(sweeps, max_n: int) -> list[SweepOutcome]:
+    """Each sweep's outcome over 2..max_n, as one serial call per sweep
+    would give it, checked on every CPU this process may use.
+
+    2..max_n splits into blocks of consecutive moduli. With W workers, this
+    process checks blocks 0, W, 2W, ... and W - 1 forked children the rest.
+    A sweep whose every block passes clean reads the sum of the blocks'
+    counts; any other sweep re-runs here over the whole range, so its
+    failures and errors are the serial ones.
+    """
+    starts = range(2, max_n + 1, _VERIFY_BLOCK)
+    blocks = [(lo, min(lo + _VERIFY_BLOCK - 1, max_n)) for lo in starts]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(blocks)) if hasattr(os, "fork") else 1
+    if workers == 1:
+        return [sweep(max_n=max_n) for sweep in sweeps]
+    children, rows = [], []
+    try:
+        for w in range(1, workers):
+            children.append(_fork_check(sweeps, blocks[w::workers]))
+        rows += _check_blocks(sweeps, blocks[::workers])
+        for _, pipe in children:
+            try:
+                rows += pickle.loads(pipe.read())
+            except Exception:  # no rows to read: the serial re-run covers them
+                rows.append(None)
+    except BaseException:
+        from signal import SIGKILL  # only a run that raises needs it
+
+        for pid, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if os.waitpid(pid, 0)[1]:  # exited nonzero or was killed
+                rows.append(None)
+    outcomes = []
+    for i, sweep in enumerate(sweeps):
+        parts = [row and row[i] for row in rows]
+        if all(part and part.ok and not part.findings for part in parts):
+            outcomes.append(SweepOutcome(parts[0].name, sum(part.checked for part in parts), ()))
+        else:
+            outcomes.append(sweep(max_n=max_n))
+    return outcomes
+
+
 def _cmd_verify(args, out) -> int:
-    outcomes = [
-        ("oracle-equivalence", oracle_equivalence_sweep(max_n=args.max_n)),
-        ("gcd-theorem", gcd_theorem_sweep(max_n=args.max_n)),
-        ("blow-up", blowup_sweep(max_n=args.max_n)),
-    ]
+    names = ("oracle-equivalence", "gcd-theorem", "blow-up")
+    # named at call time, so a wrapper bound over a zdgraph.cli name sees
+    # every call
+    sweeps = (oracle_equivalence_sweep, gcd_theorem_sweep, blowup_sweep)
+    outcomes = list(zip(names, _verify_outcomes(sweeps, args.max_n)))
     print(f"{'sweep':<20}{'checked':>10}{'failures':>10}  status", file=out)
     for name, outcome in outcomes:
         status = "pass" if outcome.ok else "FAIL"

@@ -321,16 +321,17 @@ class _VectorModel:
         self.row_block = max(1, 2**19 // (self.size * max(1, k)))
         self.scan_block = max(1, 2**18 // max(1, k) ** 2)
         dtype = np.float32 if k * (p - 1) ** 2 < 2**22 else np.float64
-        self.radix = p ** np.arange(k, dtype=np.int64)
-        self._radix = self.radix.astype(dtype)
         # row reduction adds products of two residues to a residue, so its
         # entries stay below p^2
         self._reduce_dtype = np.min_scalar_type(p * p - 1)
         if self.size > SCAN_LIMIT:
-            # every table operation refuses the ring, so nothing would read
-            # the structure tensor or the digits
-            self.M = self._digits_t = None
+            # every table operation and index conversion refuses the ring,
+            # so nothing reads the structure tensor, the digits or the
+            # radix, whose int64 powers of p would wrap above 2^63
+            self.M = self._digits_t = self.radix = self._radix = None
             return
+        self.radix = p ** np.arange(k, dtype=np.int64)
+        self._radix = self.radix.astype(dtype)
         self.M = self._structure().astype(dtype)
         self._digits_t = self._digitize(np.arange(self.size, dtype=np.int64)).T.astype(dtype)
         self._inverse = np.array([pow(a, -1, p) if a else 0 for a in range(p)], dtype=self._reduce_dtype)
@@ -338,13 +339,16 @@ class _VectorModel:
     def _digitize(self, idx: np.ndarray) -> np.ndarray:
         return (idx[:, None] // self.radix) % self.p
 
-    def _digit_rows(self, idx) -> np.ndarray:
-        """Digit t of each element of idx in row t; idx=None means every
-        element."""
+    def _refuse_above_scan_limit(self) -> None:
         if self._digits_t is None:
             raise RingTooLarge(
                 f"table operations need at most {SCAN_LIMIT} elements, ring has {self.size}"
             )
+
+    def _digit_rows(self, idx) -> np.ndarray:
+        """Digit t of each element of idx in row t; idx=None means every
+        element."""
+        self._refuse_above_scan_limit()
         if idx is None:
             return self._digits_t
         return self._digits_t[:, np.asarray(idx, dtype=np.int64)]
@@ -400,9 +404,11 @@ class _VectorModel:
         return _VectorQuotient(self, gens)
 
     def coeffs_to_index(self, coeffs) -> int:
+        self._refuse_above_scan_limit()
         return int(np.dot(np.asarray(coeffs, dtype=np.int64), self.radix))
 
     def index_to_coeffs(self, i: int) -> tuple[int, ...]:
+        self._refuse_above_scan_limit()
         return tuple(int(d) for d in self._digitize(np.asarray([i], dtype=np.int64))[0])
 
 

@@ -71,11 +71,12 @@ def _compare_routes(fact: Factorization, spec, residue, failures, tag):
             return
 
 
-def oracle_equivalence_sweep(max_n: int = 2000) -> SweepOutcome:
-    """Basis route vs oracle route on Z/n for every n up to max_n."""
+def oracle_equivalence_sweep(max_n: int = 2000, min_n: int = 2) -> SweepOutcome:
+    """Basis route vs oracle route on Z/n for every n in min_n..max_n;
+    checked counts rings."""
     failures: list[str] = []
     checked = 0
-    for n in range(2, max_n + 1):
+    for n in range(min_n, max_n + 1):
         _compare_routes(
             factor_integer(n), IntegersMod(n), lambda d, n=n: d % n, failures, f"Z/{n}"
         )
@@ -106,12 +107,13 @@ def polynomial_oracle_sweep(ps=(2, 3, 5), max_deg: int = 4) -> SweepOutcome:
     return SweepOutcome("polynomial_oracle", checked, tuple(failures))
 
 
-def gcd_theorem_sweep(max_n: int = 500) -> SweepOutcome:
+def gcd_theorem_sweep(max_n: int = 500, min_n: int = 2) -> SweepOutcome:
     """Every a shares its annihilator with the element built from its
-    clipped exponent vector."""
+    clipped exponent vector, in Z/n for every n in min_n..max_n; checked
+    counts elements."""
     failures: list[str] = []
     checked = 0
-    for n in range(2, max_n + 1):
+    for n in range(min_n, max_n + 1):
         rep = gcd_class_residues(factor_integer(n))
         ids = ring_table(IntegersMod(n)).scan.class_ids
         wrong = np.flatnonzero(ids != ids[rep])[: 21 - len(failures)].tolist()
@@ -167,8 +169,12 @@ def _blowup_matrix_check(spec, failures, tag):
             return
 
 
-def blowup_sweep(max_n: int = 2000, object_level_max: int = 300, extra_specs=()) -> SweepOutcome:
-    """Compressed-graph blow-up reproduces the full zero-divisor graph.
+def blowup_sweep(
+    max_n: int = 2000, object_level_max: int = 300, extra_specs=(), min_n: int = 2
+) -> SweepOutcome:
+    """Compressed-graph blow-up reproduces the full zero-divisor graph, on
+    Z/n for every n in min_n..max_n and on every extra spec; checked
+    counts rings.
 
     Rings up to object_level_max (and every extra spec) are checked through
     the public expand_to_full_graph path; the rest are checked as adjacency
@@ -176,7 +182,7 @@ def blowup_sweep(max_n: int = 2000, object_level_max: int = 300, extra_specs=())
     """
     failures: list[str] = []
     checked = 0
-    for n in range(2, max_n + 1):
+    for n in range(min_n, max_n + 1):
         spec = IntegersMod(n)
         if n <= object_level_max:
             _blowup_object_check(spec, failures, f"Z/{n}")

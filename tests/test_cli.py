@@ -3,15 +3,21 @@
 import hashlib
 import io
 import json
+import os
 import time
 import tracemalloc
 
 import pytest
 
-from zdgraph import cli
+from zdgraph import cli, sweeps
 from zdgraph.cli import run
 from zdgraph.conjectures import report_to_json
-from zdgraph.finite_ring import full_zero_divisor_graph, parse_ring_spec
+from zdgraph.finite_ring import (
+    IntegersMod,
+    RingTooLarge,
+    full_zero_divisor_graph,
+    parse_ring_spec,
+)
 
 
 def invoke(capsys, *argv):
@@ -271,6 +277,81 @@ class TestVerify:
         names = [line.split()[0] for line in lines[1:]]
         assert names == ["oracle-equivalence", "gcd-theorem", "blow-up"]
         assert all(line.endswith("pass") for line in lines[1:])
+
+
+class TestVerifyFanOut:
+    """verify checks blocks of rings here and in forked children; its
+    output, exit code and errors must not depend on how many CPUs it has."""
+
+    @pytest.fixture
+    def verify_on(self, monkeypatch, capsys):
+        """Run verify on a given number of CPUs; check that it left no child."""
+
+        def verify_on(cpus, max_n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            result = invoke(capsys, "verify", "--max-n", str(max_n))
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            return result
+
+        return verify_on
+
+    @pytest.mark.parametrize("max_n", [2, 17, 18, 40, 300])
+    def test_same_output_at_every_worker_count(self, verify_on, max_n):
+        serial = verify_on(1, max_n)
+        assert serial[0] == 0
+        for cpus in (2, 3):
+            assert verify_on(cpus, max_n) == serial
+
+    # Z/12 is in block 0, always checked here; Z/30 is in block 1, a child's.
+    # The gcd-theorem sweep also refuses Z/12, in this process, but a serial
+    # run meets the oracle-equivalence sweep's refusal first.
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_same_error_when_a_sweep_raises(self, monkeypatch, verify_on, n):
+        def refusing(name, ring):
+            real = getattr(sweeps, name)
+
+            def refuse(spec, *args, **kwargs):
+                if spec == IntegersMod(ring):
+                    raise RingTooLarge(f"planted refusal of Z/{ring} in {name}")
+                return real(spec, *args, **kwargs)
+
+            monkeypatch.setattr(sweeps, name, refuse)
+
+        refusing("oracle_compressed_graph", n)
+        refusing("ring_table", 12)
+        serial = verify_on(1, 40)
+        assert serial == (2, "", f"error: planted refusal of Z/{n} in oracle_compressed_graph\n")
+        assert verify_on(2, 40) == serial
+
+    def test_same_output_when_a_child_dies(self, monkeypatch, verify_on):
+        # a child that exits nonzero sends nothing; its sweeps re-run here
+        parent = os.getpid()
+        real = sweeps.factor_integer
+
+        def dying(n):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(n)
+
+        serial = verify_on(1, 40)
+        monkeypatch.setattr(sweeps, "factor_integer", dying)
+        assert verify_on(2, 40) == serial
+
+    def test_children_are_killed_when_this_process_raises(self, monkeypatch, verify_on):
+        parent = os.getpid()
+        real = sweeps.factor_integer
+
+        def interrupted(n):
+            if os.getpid() == parent and n == 12:
+                raise KeyboardInterrupt
+            return real(n)
+
+        monkeypatch.setattr(sweeps, "factor_integer", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            verify_on(2, 300)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestConjecture:

@@ -10,6 +10,7 @@ this: the tests monkeypatch module attributes only.
 
 import hashlib
 import io
+import os
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -140,6 +141,47 @@ class TestRouteComparison:
         assert out.failures == (
             "F2[x]/(x^3+x^2): edge sets differ under residue map (loops=False)",
         )
+
+
+class TestVerifyCommand:
+    """verify prints each failing sweep's failures and exits 4, with the
+    same bytes whether the rings are checked here or in forked children."""
+
+    EXPECTED = """\
+sweep                  checked  failures  status
+oracle-equivalence         299         3  FAIL
+gcd-theorem              45149         0  pass
+blow-up                    299         3  FAIL
+failure[oracle-equivalence]: Z/12: vertex sets differ under residue map (loops=False)
+failure[oracle-equivalence]: Z/30: vertex sets differ under residue map (loops=False)
+failure[oracle-equivalence]: Z/250: vertex sets differ under residue map (loops=False)
+failure[blow-up]: Z/12: expansion vertex set differs from full graph
+failure[blow-up]: Z/30: expansion vertex set differs from full graph
+failure[blow-up]: Z/250: expansion vertex set differs from full graph
+"""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_planted_labels_fail_with_exit_4(self, monkeypatch, cpus):
+        # with 16 rings a block, Z/12 is in block 0, Z/30 in block 1 and
+        # Z/250 in block 15: this process and the children each meet one
+        broken = {IntegersMod(12), IntegersMod(30), IntegersMod(250)}
+        plant(monkeypatch, sweeps, "element_label",
+              lambda label, spec, x: label + "x" if spec in broken else label)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        out = io.StringIO()
+        assert run(["verify", "--max-n", "300"], out=out) == 4
+        assert out.getvalue() == self.EXPECTED
+        assert len(forks) == cpus - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestBlowup:

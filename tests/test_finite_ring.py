@@ -617,6 +617,33 @@ class TestVectorKernel:
         assert np.array_equal(model.mul_matrices(rows), reference_matrices(model, rows))
 
 
+class TestAboveScanLimit:
+    """A model of a ring above SCAN_LIMIT converts no index, as it runs no
+    table operation: int64 powers of p wrap once p^k passes 2^63."""
+
+    @pytest.mark.parametrize("text", ["F2[x]/(x^15)", "F2[x,y]/(x^5,y^3)", "F2[x]/(x^150)"])
+    def test_index_conversions_are_refused(self, text):
+        spec = parse_ring_spec(text)
+        model = ring_table(spec).model
+        refusal = f"^table operations need at most 20000 elements, ring has {model.size}$"
+        x = parse_element(spec, "x")
+        for convert in (
+            lambda: model.index(x),
+            lambda: model.element(1),
+            lambda: model.coeffs_to_index((0,) * model.k),
+            lambda: model.index_to_coeffs(1),
+            lambda: mul_elements(spec, x, x),
+        ):
+            with pytest.raises(RingTooLarge, match=refusal):
+                convert()
+
+    def test_large_power_is_not_read_as_zero(self):
+        # 2^100 wraps to 0 in int64, which read x^100 as the index of 0
+        spec = parse_ring_spec("F2[x]/(x^150)")
+        with pytest.raises(RingTooLarge):
+            ring_table(spec).model.index(parse_element(spec, "x^100"))
+
+
 class TestBatchLabels:
     """A ring table renders the labels of an index array at once; each must
     be element_label of the element at that index."""
