@@ -218,15 +218,6 @@ class FpPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> FpPoly:
-        return FpPoly(self.p, tuple(-a % self.p for a in self.coeffs))
-
-    def __sub__(self, other) -> FpPoly:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
     def __mul__(self, other) -> FpPoly:
         o = self._coerce(other)
         if o is NotImplemented:

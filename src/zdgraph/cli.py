@@ -36,6 +36,7 @@ from .conjectures import (
     default_instances,
     parse_instance_line,
     report_to_json,
+    ring_keys,
 )
 from .finite_ring import (
     GrammarError,
@@ -240,15 +241,31 @@ def _load_instances(conjecture: int, path: str):
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     out = []
+    specs: dict = {}  # each ring text is parsed once
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            out.append(parse_instance_line(conjecture, stripped))
+            out.append(parse_instance_line(conjecture, stripped, specs))
         except (ValueError, GrammarError) as exc:
             raise GrammarError(f"{path}:{lineno}: {exc}") from exc
     return out
+
+
+def _keys_by_object():
+    """spec -> ring_keys(spec), resolved once per spec object when a pair
+    first reaches it. Looked up by id, so a pair hashes no spec; the memo
+    holds each spec, so no id is reused while it lives."""
+    resolved: dict[int, tuple] = {}
+
+    def keys(spec):
+        hit = resolved.get(id(spec))
+        if hit is None:
+            hit = resolved[id(spec)] = (spec, ring_keys(spec))
+        return hit[1]
+
+    return keys
 
 
 def _cmd_conjecture(args, out) -> int:
@@ -262,9 +279,11 @@ def _cmd_conjecture(args, out) -> int:
         instances = default_instances(args.number, args.max_n)
     # the one conjecture id -> checker table; each lambda looks its checker
     # up in this module at call time, so a wrapper bound over
-    # zdgraph.cli.check_conjecture1 sees every call
+    # zdgraph.cli.check_conjecture1 sees every call. Conjecture 1 passes
+    # each ring's keys, so a pair makes no table lookup.
+    keys = _keys_by_object()
     checkers = {
-        1: lambda inst: check_conjecture1(*inst, budget=args.budget),
+        1: lambda inst: check_conjecture1(keys(inst[0]), keys(inst[1]), budget=args.budget),
         2: lambda inst: check_conjecture2(*inst),
         3: lambda inst: check_conjecture3(*inst),
         4: lambda inst: check_conjecture4(*inst, budget=args.budget),
@@ -278,9 +297,9 @@ def _cmd_conjecture(args, out) -> int:
     with report_file as fh:
         for inst in instances:
             report = check(inst)
-            print(f"{report.verdict:<16}{report.instance}", file=out)
+            out.write(f"{report.verdict:<16}{report.instance}\n")
             if fh is not None:
-                fh.write(report_to_json(report) + "\n")
+                fh.write((report.line or report_to_json(report)) + "\n")
             counts[report.verdict] += 1
     print(
         f"checked {sum(counts.values())}: {counts['supported']} supported, "

@@ -164,6 +164,12 @@ class Graph:
         ...]}, indent=2) plus a newline."""
         return _json_graph([_json_str(s) for s in self.labels], self.edges)
 
+    def compressed_json(self) -> str:
+        """to_json(self.as_compressed()), written without building that
+        graph: each vertex is a bare label."""
+        head, tail = _PLAIN_VERTEX
+        return _json_graph([head + _json_str(s) + tail for s in self.labels], self.edges)
+
     def to_dot(self) -> str:
         return _dot("zero_divisor_graph", [Vertex(s) for s in self.labels], self.edges)
 
@@ -513,6 +519,10 @@ def _json_vertex(v: Vertex) -> str:
         f'"loop": {"true" if v.loop else "false"}',
     ]
     return _json_block(members, 2, "{}")
+
+
+# the text of a vertex with a label only, on either side of the label
+_PLAIN_VERTEX = tuple(_json_vertex(Vertex("x")).split('"x"'))
 
 
 def to_json(g: CompressedGraph) -> str:

@@ -18,8 +18,10 @@ of the adjacency rule v + w >= some generator's exponent vector.
 
 Conjecture 1 keeps one record per ring in the ring's table: canonical keys
 (isomorphism.canonical_form) of the full graph's twin quotient and of the
-compressed graph with and without loops, digests and the regular-element
-count. A pair is then decided by comparing keys, with no search per pair.
+compressed graph with and without loops, digests, the regular-element
+count and the text a report prints. A pair is then decided by comparing
+keys, with no search per pair, and its report line is joined from the two
+rings' text.
 
 Each check takes one instance and returns one report. default_instances
 lists each conjecture's default scan; the CLI's conjecture command is the
@@ -82,10 +84,24 @@ _TRUNCATION = "window truncation artifact; ambient hypothesis unmet"
 
 @dataclass(frozen=True)
 class ConjectureReport:
+    """One check's verdict and details.
+
+    A conjecture-1 check joins the report's --report line from kept
+    fragments, the text report_to_json(report) gives, and passes no
+    details: they are read back from line, anew on each access. The other
+    checks pass their details, and line is None."""
+
     conjecture: int
     instance: str
     verdict: str  # supported | counterexample | skipped
-    details: dict = field(compare=False)
+    _details: dict | None = field(compare=False)
+    line: str | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def details(self) -> dict:
+        if self._details is None:
+            return json.loads(self.line)["details"]
+        return self._details
 
 
 def report_to_json(report: ConjectureReport) -> str:
@@ -323,7 +339,11 @@ class _RingKeys:
     graph's twin quotient with loops and sizes, the looped compressed graph,
     and the same graph with its loops ignored. A key whose search ran past
     DEFAULT_BUDGET is None with nodes = inf, so every budget skips it. The
-    rest is what a report prints. No graph object is kept."""
+    rest is what a report prints: spec is the formatted ring spec,
+    spec_json the same text escaped as inside a JSON string, and witness
+    the looped compressed graph's JSON as a report line embeds it; the
+    sizes, counts and hex digests are their own JSON text. No graph object
+    is kept."""
 
     twin_key: tuple | None
     twin_nodes: float
@@ -334,8 +354,20 @@ class _RingKeys:
     full_size: int
     full_digest: str
     looped_digest: str
-    looped_json: str
     regular: int
+    spec: str
+    spec_json: str
+    witness: str
+
+    @property
+    def nbytes(self) -> int:
+        """Declared size: the object, each key as a tuple of small tuples
+        (about 64 bytes an entry) and each text (49 bytes and one a
+        character, as ASCII str objects take)."""
+        keys = (self.twin_key, self.looped_key, self.unlooped_key)
+        entries = sum(len(k[0]) + len(k[1]) + 3 for k in keys if k is not None)
+        texts = (self.full_digest, self.looped_digest, self.spec, self.spec_json, self.witness)
+        return 640 + 64 * entries + sum(49 + len(t) for t in texts)
 
 
 def _key(g: CompressedGraph, **flags) -> tuple:
@@ -346,71 +378,106 @@ def _key(g: CompressedGraph, **flags) -> tuple:
     return form.key, form.nodes
 
 
+def _compact_json(value) -> str:
+    """value as report_to_json writes it inside a report line."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _ring_keys(spec) -> _RingKeys:
     full = full_zero_divisor_graph(spec)
     twins, _ = twin_quotient(full)
     looped = oracle_compressed_graph(spec, loops=True)
     looped_json = graph_json(looped)
+    text = format_ring_spec(spec)
     return _RingKeys(
         *_key(twins, respect_sizes=True),
         *_key(looped),
         *_key(looped, respect_loops=False),
         len(full.labels),
-        _digest(full.as_compressed()),
+        _text_digest(full.compressed_json()),
         _text_digest(looped_json),
-        looped_json,
         count_regular_elements(spec),
+        text,
+        _compact_json(text)[1:-1],
+        _compact_json(json.loads(looped_json)),
     )
 
 
-def check_conjecture1(spec1, spec2, budget: int = DEFAULT_BUDGET) -> ConjectureReport:
+def ring_keys(spec) -> _RingKeys:
+    """The conjecture-1 keys of spec, built once and kept in its ring table."""
+    return ring_table(spec).keep(_ring_keys)
+
+
+_FULL_BUDGET = "full-graph isomorphism search exceeded the node budget"
+_COMPRESSED_BUDGET = "compressed-graph search exceeded the node budget"
+_FULL_ONLY = "full graphs isomorphic but compressed-and-count test disagrees"
+_COUNT_ONLY = "compressed-and-count test passes but full graphs are not isomorphic"
+# the JSON text of each skip reason and failed side, and of False and True
+_JSON = {s: _compact_json(s) for s in (_FULL_BUDGET, _COMPRESSED_BUDGET, _FULL_ONLY, _COUNT_ONLY)}
+_JSON_BOOL = ("false", "true")
+
+
+def _conjecture1_report(r1, r2, verdict, flags=None, note=None) -> ConjectureReport:
+    """The report of a pair, its line byte for byte as report_to_json
+    writes it: joined from the two rings' fragments, with the details in
+    sorted key order. A skipped pair has no flags, and note is its reason.
+    A compared pair has flags, whether the full graphs, the looped and the
+    unlooped compressed graphs are isomorphic and whether the looped and
+    unlooped readings pass; a counterexample's note is its failed side."""
+    full = (
+        f'"full_graph_digests":["{r1.full_digest}","{r2.full_digest}"],'
+        f'"full_graph_sizes":[{r1.full_size},{r2.full_size}]'
+    )
+    if flags is None:
+        details = f'{full},"reason":{_JSON[note]}'
+    else:
+        lhs, looped, unlooped, rhs, rhs_unlooped = flags
+        failed = witness = ""
+        if note is not None:
+            failed = f'"failed_side":{_JSON[note]},'
+            witness = f',"witness_graphs":{{"compressed_looped":[{r1.witness},{r2.witness}]}}'
+        details = (
+            f'"compressed_graph_digests":["{r1.looped_digest}","{r2.looped_digest}"],'
+            f'"compressed_looped_isomorphic":{_JSON_BOOL[looped]},'
+            f'"compressed_unlooped_isomorphic":{_JSON_BOOL[unlooped]},{failed}{full},'
+            f'"full_graphs_isomorphic":{_JSON_BOOL[lhs]},'
+            f'"regular_element_counts":[{r1.regular},{r2.regular}],'
+            f'"rhs_looped_reading":{_JSON_BOOL[rhs]},'
+            f'"rhs_unlooped_reading":{_JSON_BOOL[rhs_unlooped]}{witness}'
+        )
+    line = (
+        f'{{"conjecture":1,"details":{{{details}}},'
+        f'"instance":"{r1.spec_json} | {r2.spec_json}","verdict":"{verdict}"}}'
+    )
+    return ConjectureReport(1, f"{r1.spec} | {r2.spec}", verdict, None, line)
+
+
+def check_conjecture1(ring1, ring2, budget: int = DEFAULT_BUDGET) -> ConjectureReport:
     """Full-graph isomorphism against the compressed-graph-and-count test.
 
-    Each ring's canonical keys, digests and regular-element count are made
-    once and kept in its ring table, so a pair is decided by comparing keys:
-    the full graphs are isomorphic exactly when their twin quotients are
-    (see twin_quotient), and the compressed graphs when their keys are
-    equal. A pair whose key took more than budget search nodes is skipped;
-    the node counts come from the table, so the verdict is the same whether
-    the table was built for this pair or an earlier one."""
-    instance = f"{format_ring_spec(spec1)} | {format_ring_spec(spec2)}"
-    details: dict = {}
-    r1 = ring_table(spec1).keep(_ring_keys)
-    r2 = ring_table(spec2).keep(_ring_keys)
-    details["full_graph_sizes"] = [r1.full_size, r2.full_size]
-    details["full_graph_digests"] = [r1.full_digest, r2.full_digest]
-    if max(r1.twin_nodes, r2.twin_nodes) > budget:
-        return _skip(1, instance, details, "full-graph isomorphism search exceeded the node budget")
-    nodes = (r1.looped_nodes, r2.looped_nodes, r1.unlooped_nodes, r2.unlooped_nodes)
-    if max(nodes) > budget:
-        return _skip(1, instance, details, "compressed-graph search exceeded the node budget")
+    ring1 and ring2 are ring specs or their ring_keys; a caller that checks
+    many pairs resolves each ring once and passes its keys. Each ring's
+    canonical keys, digests and regular-element count are made once and
+    kept in its ring table, so a pair is decided by comparing keys: the
+    full graphs are isomorphic exactly when their twin quotients are (see
+    twin_quotient), and the compressed graphs when their keys are equal. A
+    pair whose key took more than budget search nodes is skipped; the node
+    counts come from the table, so the verdict is the same whether the
+    table was built for this pair or an earlier one."""
+    r1 = ring1 if isinstance(ring1, _RingKeys) else ring_keys(ring1)
+    r2 = ring2 if isinstance(ring2, _RingKeys) else ring_keys(ring2)
+    if r1.twin_nodes > budget or r2.twin_nodes > budget:
+        return _conjecture1_report(r1, r2, "skipped", note=_FULL_BUDGET)
+    if max(r1.looped_nodes, r2.looped_nodes, r1.unlooped_nodes, r2.unlooped_nodes) > budget:
+        return _conjecture1_report(r1, r2, "skipped", note=_COMPRESSED_BUDGET)
     lhs = r1.twin_key == r2.twin_key
-    compressed_iso = r1.looped_key == r2.looped_key
-    unlooped_iso = r1.unlooped_key == r2.unlooped_key
-    counts = [r1.regular, r2.regular]
-    rhs = compressed_iso and counts[0] == counts[1]
-    details.update(
-        {
-            "full_graphs_isomorphic": lhs,
-            "compressed_looped_isomorphic": compressed_iso,
-            "compressed_unlooped_isomorphic": unlooped_iso,
-            "regular_element_counts": counts,
-            "rhs_looped_reading": rhs,
-            "rhs_unlooped_reading": unlooped_iso and counts[0] == counts[1],
-            "compressed_graph_digests": [r1.looped_digest, r2.looped_digest],
-        }
-    )
-    if lhs == rhs:
-        return ConjectureReport(1, instance, "supported", details)
-    details["failed_side"] = (
-        "full graphs isomorphic but compressed-and-count test disagrees"
-        if lhs
-        else "compressed-and-count test passes but full graphs are not isomorphic"
-    )
-    details["witness_graphs"] = {
-        "compressed_looped": [json.loads(r.looped_json) for r in (r1, r2)],
-    }
-    return ConjectureReport(1, instance, "counterexample", details)
+    looped = r1.looped_key == r2.looped_key
+    unlooped = r1.unlooped_key == r2.unlooped_key
+    same_count = r1.regular == r2.regular
+    flags = (lhs, looped, unlooped, looped and same_count, unlooped and same_count)
+    if lhs == flags[3]:
+        return _conjecture1_report(r1, r2, "supported", flags)
+    return _conjecture1_report(r1, r2, "counterexample", flags, _FULL_ONLY if lhs else _COUNT_ONLY)
 
 
 # --- conjecture 2 -------------------------------------------------------------
@@ -704,29 +771,41 @@ def default_instances(conjecture: int, max_n: int | None = None):
     raise ValueError("conjecture id must be 1, 2, 3, or 4")
 
 
-def parse_instance_line(conjecture: int, line: str):
+def parse_instance_line(conjecture: int, line: str, specs: dict | None = None):
     """One instance per line; fields separated by '|'.
 
     conjecture 1: spec | spec
     conjectures 2, 3: spec | gen, gen, ...
     conjecture 4: spec | gens | spec | gens
+
+    specs, when given, maps each ring text already parsed to its spec and
+    gains the texts this line parses, so that the lines of one file parse
+    each ring text once and share its spec object.
     """
     parts = [p.strip() for p in line.split("|")]
     if conjecture == 1:
         if len(parts) != 2:
             raise ValueError("conjecture 1 instances need two ring specs")
-        return (parse_ring_spec(parts[0]), parse_ring_spec(parts[1]))
+        return (_parse_spec(parts[0], specs), _parse_spec(parts[1], specs))
     if conjecture in (2, 3):
         if len(parts) != 2:
             raise ValueError("conjecture 2/3 instances need a spec and generators")
-        return _parse_ring_and_gens(*parts)
+        return _parse_ring_and_gens(*parts, specs)
     if conjecture == 4:
         if len(parts) != 4:
             raise ValueError("conjecture 4 instances need two spec/generator pairs")
-        return (*_parse_ring_and_gens(*parts[:2]), *_parse_ring_and_gens(*parts[2:]))
+        return (*_parse_ring_and_gens(*parts[:2], specs), *_parse_ring_and_gens(*parts[2:], specs))
     raise ValueError("conjecture id must be 1, 2, 3, or 4")
 
 
-def _parse_ring_and_gens(spec: str, gens: str):
-    ambient = parse_ring_spec(spec)
+def _parse_spec(text: str, specs: dict | None):
+    if specs is None:
+        return parse_ring_spec(text)
+    if text not in specs:
+        specs[text] = parse_ring_spec(text)
+    return specs[text]
+
+
+def _parse_ring_and_gens(spec: str, gens: str, specs: dict | None):
+    ambient = _parse_spec(spec, specs)
     return ambient, [parse_element(ambient, g.strip()) for g in gens.split(",")]

@@ -26,19 +26,20 @@ Everything derived from one ring spec lives in its RingTable, which
 ring_table(spec) returns: the model, the annihilator scan (built on first
 use, its members stored as slices of one int32 array), and whatever a
 caller that reuses per-ring results asks it to keep (conjecture 1 keeps
-each ring's graphs and digests; nothing else keeps full graphs).  Tables
-sit in one least-recently-used cache charged with the bytes each table
-holds, and the charge never exceeds TABLE_BUDGET; a table larger than the
-budget on its own is built, used and dropped.  The 1999 scans of
-`zdgraph verify --max-n 2000` charge about 22.5 MB, so the budget of 64 MB
-holds them all and none is built twice.
+each ring's keys, digests and report fragments; nothing else keeps full
+graphs).  Tables sit in one least-recently-used cache, and the charge never
+exceeds TABLE_BUDGET; a table larger than the budget on its own is built,
+used and dropped.  Each entry of a table charges its declared size, its
+nbytes: the buffers of the arrays that entry alone holds (a window's base
+is charged to the base's own table) plus a fixed size per Python object
+around them.  The 1999 scans of `zdgraph verify --max-n 2000` charge
+about 23.6 MB, so the budget of 64 MB holds them all and none is built twice.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -96,6 +97,12 @@ FULL_GRAPH_LIMIT = 10**4
 SCAN_LIMIT = 20000
 # Bytes that the cached ring tables may hold together (see RingTable).
 TABLE_BUDGET = 64 * 2**20
+# Declared sizes beyond array buffers: an object with a few attributes and
+# its instance dict, one ndarray header, and one annihilator group's tuple,
+# members view and ints (its mask bytes are counted apart).
+_OBJECT_BYTES = 384
+_ARRAY_BYTES = 112
+_GROUP_BYTES = 300
 
 
 class GrammarError(ValueError):
@@ -227,6 +234,8 @@ def ring_size(spec) -> int:
 
 
 class _IntModel:
+    nbytes = _OBJECT_BYTES  # declared size: the model holds no array
+
     def __init__(self, n: int):
         # mul_rows multiplies two residues in int64, exact while (n-1)^2 < 2^63
         if n > 3037000500:
@@ -335,6 +344,13 @@ class _VectorModel:
         self.M = self._structure().astype(dtype)
         self._digits_t = self._digitize(np.arange(self.size, dtype=np.int64)).T.astype(dtype)
         self._inverse = np.array([pow(a, -1, p) if a else 0 for a in range(p)], dtype=self._reduce_dtype)
+
+    @property
+    def nbytes(self) -> int:
+        """Declared size: the model's own arrays; a window's base is an
+        attribute but not an array, so it is charged to its own table."""
+        arrays = [a for a in vars(self).values() if isinstance(a, np.ndarray)]
+        return _OBJECT_BYTES + sum(_ARRAY_BYTES + a.nbytes for a in arrays)
 
     def _digitize(self, idx: np.ndarray) -> np.ndarray:
         return (idx[:, None] // self.radix) % self.p
@@ -590,6 +606,13 @@ class _Scan(NamedTuple):
     groups: tuple[_Group, ...]
     zd_gids: tuple[int, ...]
 
+    @property
+    def nbytes(self) -> int:
+        """Declared size: class_ids, the int32 buffer of the same length
+        that the groups' members slice, and each group's mask and objects."""
+        arrays = 2 * (_ARRAY_BYTES + self.class_ids.nbytes)
+        return _OBJECT_BYTES + arrays + sum(_GROUP_BYTES + len(g.mask) for g in self.groups)
+
 
 def _annihilator_scan(model) -> _Scan:
     """Group every element by its exact annihilator set.
@@ -659,6 +682,8 @@ class RingTable:
       the groups of nonzero zero-divisors.
     keep(build): build(spec) once for a caller that reuses what it builds.
     labels(idx): element_label of each element index of idx.
+    nbytes: the declared sizes of the model, the scan once built, and what
+      keep() holds, which is what the table cache is charged.
 
     Tables come from ring_table(spec) and may be shared by every caller,
     so nothing reached from a table may be mutated: the scan is tuples and
@@ -668,7 +693,7 @@ class RingTable:
     def __init__(self, spec):
         self.spec = spec
         self.model = _build_model(spec)
-        self.nbytes = _nbytes(self.model)
+        self.nbytes = self.model.nbytes
         self._scan: _Scan | None = None
         self._kept: dict = {}
 
@@ -676,15 +701,16 @@ class RingTable:
     def scan(self) -> _Scan:
         if self._scan is None:
             self._scan = _annihilator_scan(self.model)
-            _TABLES.charge(self, _nbytes(self._scan))
+            _TABLES.charge(self, self._scan.nbytes)
         return self._scan
 
     def keep(self, build):
-        """build(spec), computed once per table; what it returns is charged
-        to the table cache and must never be mutated."""
+        """build(spec), computed once per table; what it returns declares
+        its size as nbytes, is charged to the table cache and must never be
+        mutated."""
         if build not in self._kept:
             self._kept[build] = build(self.spec)
-            _TABLES.charge(self, _nbytes(self._kept[build]))
+            _TABLES.charge(self, self._kept[build].nbytes)
         return self._kept[build]
 
     def labels(self, idx) -> list[str]:
@@ -730,28 +756,6 @@ _TABLES = _TableCache()
 def ring_table(spec) -> RingTable:
     """The ring table of spec, from the cache while it stays there."""
     return _TABLES.get(spec)
-
-
-def _nbytes(obj) -> int:
-    """Bytes held by obj and by everything it references, each object
-    counted once; an array view counts its base."""
-    seen, total, stack = set(), 0, [obj]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        total += sys.getsizeof(obj)
-        if isinstance(obj, (tuple, list)):
-            stack += obj
-        elif isinstance(obj, np.ndarray):
-            if obj.base is not None:
-                stack.append(obj.base)
-        elif isinstance(obj, dict):
-            stack += obj.values()  # the keys are attribute names
-        elif hasattr(obj, "__dict__"):
-            stack.append(vars(obj))
-    return total
 
 
 # --- public oracle operations -----------------------------------------------

@@ -176,9 +176,9 @@ def blowup_sweep(
     Z/n for every n in min_n..max_n and on every extra spec; checked
     counts rings.
 
-    Rings up to object_level_max (and every extra spec) are checked through
-    the public expand_to_full_graph path; the rest are checked as adjacency
-    matrices, which is the same identity without graph packaging.
+    Every ring is checked as adjacency matrices, the identity without graph
+    packaging. Rings up to object_level_max, and every extra spec, get both
+    checks: they also go through the public expand_to_full_graph path.
     """
     failures: list[str] = []
     checked = 0

@@ -6,14 +6,16 @@ import json
 import os
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from zdgraph import cli, sweeps
+from zdgraph import cli, conjectures, finite_ring, sweeps
 from zdgraph.cli import run
 from zdgraph.conjectures import report_to_json
 from zdgraph.finite_ring import (
     IntegersMod,
+    PolyQuotient,
     RingTooLarge,
     full_zero_divisor_graph,
     parse_ring_spec,
@@ -483,6 +485,57 @@ class TestConjectureStreaming:
         )
         assert (code, out, calls) == (2, "", [])
         assert err.startswith("error: [Errno 2]")
+
+
+class TestConjecture1Lookups:
+    """The conjecture-1 pair loop resolves each distinct ring once; after
+    that a pair makes one check_conjecture1 call and no ring-table lookup,
+    spec hash or spec formatting."""
+
+    RINGS = ("Z/6", "Z/8", "F2[x]/(x^3)", "Z/12")
+
+    def counted_run(self, monkeypatch, argv) -> Counter:
+        assert run(argv, out=io.StringIO()) == 0  # the ring tables are built here
+        calls: Counter = Counter()
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(cli, "check_conjecture1")
+        for module in (conjectures, finite_ring):
+            for name in ("ring_table", "format_ring_spec", "parse_ring_spec"):
+                counting(module, name)
+        for spec_class in (IntegersMod, PolyQuotient):
+            counting(spec_class, "__hash__")
+        assert run(argv, out=io.StringIO()) == 0
+        return calls
+
+    def test_instance_file(self, monkeypatch, tmp_path):
+        pairs = [f"{a} | {b}" for a in self.RINGS for b in self.RINGS]
+        counts = []
+        for repeats in (1, 3):
+            instances = tmp_path / f"instances{repeats}.txt"
+            instances.write_text("\n".join(pairs * repeats) + "\n")
+            argv = ["conjecture", "1", "--instances", str(instances)]
+            with monkeypatch.context() as patch:
+                counts.append(self.counted_run(patch, argv))
+        once, thrice = counts
+        assert (once.pop("check_conjecture1"), thrice.pop("check_conjecture1")) == (16, 48)
+        # each ring text is parsed and looked up once, however many pairs
+        assert once == thrice
+        assert (once["parse_ring_spec"], once["ring_table"], once["format_ring_spec"]) == (4, 4, 0)
+
+    def test_default_scan(self, monkeypatch, tmp_path):
+        argv = ["conjecture", "1", "--max-n", "12", "--report", str(tmp_path / "r")]
+        calls = self.counted_run(monkeypatch, argv)
+        # each ring is looked up once, by its table cache's two hashes
+        assert calls == Counter(check_conjecture1=55, ring_table=11, __hash__=22)
 
 
 def printed_table(g) -> str:

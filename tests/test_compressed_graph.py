@@ -800,3 +800,9 @@ class TestJsonWriter:
         payload = {"vertices": list(g.labels), "edges": [list(e) for e in g.edges]}
         assert g.to_json() == json.dumps(payload, indent=2) + "\n"
 
+    @given(graphs_with_metadata())
+    @settings(max_examples=100, deadline=None)
+    def test_graph_compressed_json_is_its_compressed_graphs(self, cg):
+        g = Graph(tuple(v.label for v in cg.vertices), cg.edges)
+        assert g.compressed_json() == to_json(g.as_compressed())
+

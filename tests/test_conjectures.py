@@ -5,15 +5,21 @@ isomorphism search and then frozen; the Z/8-versus-Z/6 analysis is the known
 counterexample family for conjecture 1.
 """
 
+import hashlib
 import io
 import itertools
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zdgraph.arithmetic import FpPoly, factor_polynomial, format_poly_pretty
+from zdgraph import conjectures
 from zdgraph.cli import run
+from zdgraph.compressed_graph import to_json as graph_json
 from zdgraph.compressed_graph import zero_divisor_basis
 from zdgraph.conjectures import (
     ConjectureReport,
@@ -25,11 +31,13 @@ from zdgraph.conjectures import (
     generalized_basis,
     parse_instance_line,
     report_to_json,
+    ring_keys,
 )
 from zdgraph.finite_ring import (
     BivariateMonomialQuotient,
     IntegersMod,
     PolyQuotient,
+    count_regular_elements,
     element_label,
     format_ring_spec,
     full_zero_divisor_graph,
@@ -147,6 +155,33 @@ class TestConjecture1:
         assert report.verdict == "skipped"
         assert report.details["reason"] == reason
         assert check_conjecture1(*specs, budget=nodes).verdict == "supported"
+
+    def test_key_over_its_budget_skips_the_pair(self, fresh_tables, monkeypatch):
+        # the keys are made under DEFAULT_BUDGET, whatever budget a check
+        # gets; below the 10 nodes Z/210's and Z/330's compressed graphs
+        # take, their compressed keys are None, while the twin quotients'
+        # keys fit
+        fresh_tables()
+        monkeypatch.setattr(conjectures, "DEFAULT_BUDGET", 9)
+        specs = (IntegersMod(210), IntegersMod(330))
+        for keys in map(ring_keys, specs):
+            assert keys.twin_key is not None and keys.twin_nodes <= 9
+            assert (keys.looped_key, keys.looped_nodes) == (None, math.inf)
+        report = check_conjecture1(*specs)
+        assert report.verdict == "skipped"
+        fulls = [full_zero_divisor_graph(s) for s in specs]
+        payload = {
+            "conjecture": 1,
+            "instance": "Z/210 | Z/330",
+            "verdict": "skipped",
+            "details": {
+                "full_graph_sizes": [len(g.labels) for g in fulls],
+                "full_graph_digests": [digest16(graph_json(g.as_compressed())) for g in fulls],
+                "reason": "compressed-graph search exceeded the node budget",
+            },
+        }
+        assert report.details == payload["details"]
+        assert report.line == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def test_size_mismatch_counterexample_direction(self):
         # compressed graphs and counts agree but the class sizes distribute
@@ -488,6 +523,123 @@ class TestApiOnlySkips:
         assert report.verdict == "skipped"
         assert report.details["reason"] == reason
         assert "patterns" not in report.details
+
+
+# Pairs of these rings reach every conjecture-1 verdict kind: Z/16 against
+# F2[x,y]/(x^2,y^2) skips on the full graphs below 6 nodes, Z/210 against
+# Z/330 on the compressed graphs below 10, Z/6 against Z/8 fails on the
+# count and Z/21 against Z/26 on the class sizes. Z/8 against Z/10 passes
+# the unlooped reading only.
+KIND_RINGS = ("Z/2", "Z/3", "Z/6", "Z/8", "Z/9", "Z/10", "Z/16", "Z/21", "Z/26", "Z/210",
+              "Z/330", "F2[x]/(x^4)", "F3[x]/(x^2)", "F2[x,y]/(x^2,y^2)")
+KIND_BUDGETS = (1, 5, 9, 10**7)
+
+
+def verdict_kind(report) -> str:
+    return report.details.get("reason") or report.details.get("failed_side") or report.verdict
+
+
+def digest16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def reference_report(spec1, spec2, budget: int) -> ConjectureReport:
+    """A conjecture-1 report with its details built as a dict, from the two
+    rings' graphs and counts and from comparing their kept keys: what the
+    joined report line is checked against."""
+    specs = (spec1, spec2)
+    r1, r2 = map(ring_keys, specs)
+    fulls = [full_zero_divisor_graph(s) for s in specs]
+    looped = [oracle_compressed_graph(s, loops=True) for s in specs]
+    instance = " | ".join(map(format_ring_spec, specs))
+    details = {
+        "full_graph_sizes": [len(g.labels) for g in fulls],
+        "full_graph_digests": [digest16(graph_json(g.as_compressed())) for g in fulls],
+    }
+    if max(r1.twin_nodes, r2.twin_nodes) > budget:
+        details["reason"] = "full-graph isomorphism search exceeded the node budget"
+        return ConjectureReport(1, instance, "skipped", details)
+    if max(r1.looped_nodes, r2.looped_nodes, r1.unlooped_nodes, r2.unlooped_nodes) > budget:
+        details["reason"] = "compressed-graph search exceeded the node budget"
+        return ConjectureReport(1, instance, "skipped", details)
+    lhs = r1.twin_key == r2.twin_key
+    looped_iso = r1.looped_key == r2.looped_key
+    unlooped_iso = r1.unlooped_key == r2.unlooped_key
+    counts = [count_regular_elements(s) for s in specs]
+    rhs = looped_iso and counts[0] == counts[1]
+    details.update(
+        {
+            "full_graphs_isomorphic": lhs,
+            "compressed_looped_isomorphic": looped_iso,
+            "compressed_unlooped_isomorphic": unlooped_iso,
+            "regular_element_counts": counts,
+            "rhs_looped_reading": rhs,
+            "rhs_unlooped_reading": unlooped_iso and counts[0] == counts[1],
+            "compressed_graph_digests": [digest16(graph_json(g)) for g in looped],
+        }
+    )
+    if lhs == rhs:
+        return ConjectureReport(1, instance, "supported", details)
+    details["failed_side"] = (
+        "full graphs isomorphic but compressed-and-count test disagrees"
+        if lhs
+        else "compressed-and-count test passes but full graphs are not isomorphic"
+    )
+    details["witness_graphs"] = {"compressed_looped": [json.loads(graph_json(g)) for g in looped]}
+    return ConjectureReport(1, instance, "counterexample", details)
+
+
+class TestReportLine:
+    """A conjecture-1 report is its line, joined from the two rings'
+    fragments; it must be the bytes report_to_json writes from details
+    built as a dict, and read back as those details."""
+
+    @given(
+        st.sampled_from(KIND_RINGS), st.sampled_from(KIND_RINGS), st.sampled_from(KIND_BUDGETS)
+    )
+    @example("Z/6", "Z/8", 10**7)
+    @example("Z/21", "Z/26", 10**7)
+    @example("Z/16", "F2[x,y]/(x^2,y^2)", 5)
+    @example("Z/210", "Z/330", 9)
+    @example("Z/2", "Z/2", 10**7)
+    @example("Z/8", "Z/10", 10**7)
+    @settings(max_examples=60, deadline=None)
+    def test_line_is_report_to_json_of_the_reference(self, a, b, budget):
+        specs = (parse_ring_spec(a), parse_ring_spec(b))
+        report = check_conjecture1(*specs, budget=budget)
+        reference = reference_report(*specs, budget)
+        assert report.line == report_to_json(reference)
+        assert (report, report.details) == (reference, reference.details)
+
+    def test_the_rings_reach_every_verdict_kind(self):
+        kinds, readings = set(), set()
+        for a, b in itertools.combinations(KIND_RINGS, 2):
+            for budget in KIND_BUDGETS:
+                reference = reference_report(parse_ring_spec(a), parse_ring_spec(b), budget)
+                report = check_conjecture1(parse_ring_spec(a), parse_ring_spec(b), budget=budget)
+                assert report.line == report_to_json(reference)
+                kinds.add(verdict_kind(reference))
+                readings.add((reference.details.get("rhs_looped_reading"),
+                              reference.details.get("rhs_unlooped_reading")))
+        assert (False, True) in readings
+        assert kinds == {
+            "supported",
+            "full graphs isomorphic but compressed-and-count test disagrees",
+            "compressed-and-count test passes but full graphs are not isomorphic",
+            "full-graph isomorphism search exceeded the node budget",
+            "compressed-graph search exceeded the node budget",
+        }
+
+    def test_keys_or_specs_give_one_report(self):
+        specs = (IntegersMod(6), IntegersMod(8))
+        by_spec = check_conjecture1(*specs)
+        by_keys = check_conjecture1(*map(ring_keys, specs))
+        assert (by_keys, by_keys.line) == (by_spec, by_spec.line)
+
+    def test_details_are_read_back_anew(self):
+        report = check_conjecture1(IntegersMod(6), IntegersMod(8))
+        report.details["full_graph_sizes"].append("edited")
+        assert report.details["full_graph_sizes"] == [3, 3]
 
 
 class TestRingTable:

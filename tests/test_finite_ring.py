@@ -8,6 +8,7 @@ answer to.
 import functools
 import io
 import math
+import sys
 import time
 import tracemalloc
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from zdgraph.arithmetic import FpPoly
 from zdgraph.cli import run
-from zdgraph.conjectures import default_instances
+from zdgraph.conjectures import default_instances, ring_keys
 from zdgraph.finite_ring import (
     ENUMERATION_LIMIT,
     BivariateMonomialQuotient,
@@ -321,6 +322,30 @@ def bivariate_quotients(draw):
     return BivariateMonomialQuotient(p, tuple(gens))
 
 
+def reference_nbytes(obj, skip=()) -> int:
+    """The bytes held by obj and everything it references, each object
+    counted once and an array view counting its base, leaving out the
+    objects of skip and what only they reach: the object walk the tables
+    were once charged by."""
+    seen, total, stack = {id(s) for s in skip}, 0, [obj]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, (tuple, list)):
+            stack += obj
+        elif isinstance(obj, np.ndarray):
+            if obj.base is not None:
+                stack.append(obj.base)
+        elif isinstance(obj, dict):
+            stack += obj.values()  # the keys are attribute names
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return total
+
+
 class TestRingTable:
     def test_scans_match_reference(self):
         specs = [IntegersMod(n) for n in range(2, 201)]
@@ -346,6 +371,29 @@ class TestRingTable:
         assert tight.getvalue() == roomy.getvalue()
         assert 0 < max(cache.charged_after) <= 20000
         assert 0 < len(cache.tables) < 10
+
+    @pytest.mark.parametrize(
+        "text",
+        ["Z/2", "Z/12", "Z/600", "Z/2000", "F2[x]/(x^4)", "F3[x]/(x^5+x+1)",
+         "F2[x,y]/(x^2,y^2)", "F2[x,y]/(x^3,x^2*y,y^3)", "Z/48 mod 12", "F2[x,y] mod x*y"],
+    )
+    def test_declared_sizes_are_near_the_bytes_held(self, text):
+        if text == "Z/48 mod 12":
+            spec = quotient_by_ideal(IntegersMod(48), [12])
+        elif text == "F2[x,y] mod x*y":
+            base = parse_ring_spec("F2[x,y]/(x^3,x^2*y,y^3)")
+            spec = quotient_by_ideal(base, [parse_element(base, "x*y")])
+        else:
+            spec = parse_ring_spec(text)
+        table = ring_table(spec)
+        model, scan = table.model, table.scan
+        # a window's base is charged to the base's own table
+        outside = [model.base] if hasattr(model, "base") else []
+        keys = ring_keys(spec)
+        for entry, skip in ((model, outside), (scan, []), (keys, [])):
+            held = reference_nbytes(entry, skip)
+            assert held / 2 <= entry.nbytes <= 2 * held, (type(entry).__name__, held)
+        assert table.nbytes == model.nbytes + scan.nbytes + keys.nbytes
 
     def test_table_above_the_budget_stays_uncached(self, fresh_tables):
         cache = fresh_tables(budget=1)
@@ -906,6 +954,20 @@ class TestQuotientRing:
         q = quotient_by_ideal(IntegersMod(48), [12])
         with pytest.raises(ValueError):
             QuotientRing(q, (2,))
+
+    def test_parse_element_reads_back_each_label(self):
+        # a window's label is its coset's least member in the base, and
+        # parsing any member's text gives that least member back
+        z12 = quotient_by_ideal(IntegersMod(12), [4])
+        base = BivariateMonomialQuotient(2, ((3, 0), (2, 1), (0, 3)))
+        xy = quotient_by_ideal(base, [parse_element(base, "x*y")])
+        for q, size in ((z12, 4), (xy, 32)):
+            elements = enumerate_elements(q)
+            assert len(elements) == size
+            for e in elements:
+                assert parse_element(q, element_label(q, e)) == e
+        assert parse_element(z12, "7") == 3
+        assert parse_element(xy, "x*y+x") == parse_element(base, "x")
 
 
 def ring_specs(max_n=10**6):
