@@ -681,7 +681,7 @@ def parse_poly_compact(s: str) -> FpPoly:
     return FpPoly(p, coeffs)
 
 
-def format_poly_pretty(f: FpPoly, var: str = "x") -> str:
+def format_poly_pretty(f: FpPoly) -> str:
     """Human form in descending powers, e.g. "x^2+2*x+1"."""
     if f.is_zero:
         return "0"
@@ -693,7 +693,7 @@ def format_poly_pretty(f: FpPoly, var: str = "x") -> str:
         if k == 0:
             terms.append(str(c))
             continue
-        power = var if k == 1 else f"{var}^{k}"
+        power = "x" if k == 1 else f"x^{k}"
         terms.append(power if c == 1 else f"{c}*{power}")
     return "+".join(terms)
 
@@ -701,8 +701,8 @@ def format_poly_pretty(f: FpPoly, var: str = "x") -> str:
 _PRETTY_TERM = re.compile(r"^(?:(\d+)\*)?([a-z])(?:\^(\d+))?$|^(\d+)$")
 
 
-def parse_poly_pretty(s: str, p: int, var: str = "x") -> FpPoly:
-    """Parse the human form; coefficients reduce mod p."""
+def parse_poly_pretty(s: str, p: int) -> FpPoly:
+    """Parse the human form in x; coefficients reduce mod p."""
     text = s.replace(" ", "")
     if not text:
         raise ValueError("empty polynomial")
@@ -716,7 +716,7 @@ def parse_poly_pretty(s: str, p: int, var: str = "x") -> FpPoly:
         if m.group(4) is not None:
             coeffs[0] = coeffs.get(0, 0) + int(m.group(4))
             continue
-        if m.group(2) != var:
+        if m.group(2) != "x":
             raise ValueError(f"unknown variable {m.group(2)!r} in {s!r}")
         c = int(m.group(1)) if m.group(1) else 1
         k = int(m.group(3)) if m.group(3) else 1

@@ -242,7 +242,10 @@ class _IntModel:
             raise RingTooLarge(f"ring has {n} elements, above 3037000500: its products overflow int64")
         self.n = n
         self.size = n
-        self.row_block = self.scan_block = max(1, 2**21 // n)
+        self.scan_block = self.block_rows(n)
+
+    def block_rows(self, cols: int) -> int:
+        return max(1, 2**21 // max(1, cols))  # mul_rows blocks of about 2^21 products
 
     def _cols(self, cols, dtype) -> np.ndarray:
         if cols is None:
@@ -303,8 +306,8 @@ class _VectorModel:
     mul_rows(rows, cols) and add_rows(rows, cols) return the block of
     products or sums rows x cols as element indices; cols=None means every
     element, so row a is a full table row.  A block's float intermediate
-    holds len(rows) x k x len(cols) digits, which row_block rows of full
-    width keep near 2^19 entries.
+    holds len(rows) x k x len(cols) digits, which block_rows(len(cols))
+    rows keep near 2^19 entries.
 
     Products run in floating point so that numpy hands them to BLAS, and
     they stay exact integers: each entry of a product is a sum of at most
@@ -326,8 +329,6 @@ class _VectorModel:
         self.p = p
         self.k = k
         self.size = p**k
-        # k = 0 is the zero ring, the quotient by an ideal that is the whole ring
-        self.row_block = max(1, 2**19 // (self.size * max(1, k)))
         self.scan_block = max(1, 2**18 // max(1, k) ** 2)
         dtype = np.float32 if k * (p - 1) ** 2 < 2**22 else np.float64
         # row reduction adds products of two residues to a residue, so its
@@ -351,6 +352,9 @@ class _VectorModel:
         attribute but not an array, so it is charged to its own table."""
         arrays = [a for a in vars(self).values() if isinstance(a, np.ndarray)]
         return _OBJECT_BYTES + sum(_ARRAY_BYTES + a.nbytes for a in arrays)
+
+    def block_rows(self, cols: int) -> int:
+        return max(1, 2**19 // (max(1, cols) * max(1, self.k)))  # k = 0: the zero ring
 
     def _digitize(self, idx: np.ndarray) -> np.ndarray:
         return (idx[:, None] // self.radix) % self.p
@@ -649,8 +653,9 @@ def _annihilator_scan(model) -> _Scan:
             local[u] = gid
         class_ids[start : start + len(keys)] = local[inverse.ravel()]
     masks: list[bytes] = []
-    for start in range(0, len(firsts), model.row_block):
-        reps = firsts[start : start + model.row_block]
+    block = model.block_rows(n)
+    for start in range(0, len(firsts), block):
+        reps = firsts[start : start + block]
         zero = model.mul_rows(reps) == 0
         packed = np.packbits(zero, axis=1)
         for offset, popcount in enumerate(zero.sum(axis=1)):
@@ -853,7 +858,7 @@ def full_zero_divisor_graph(spec) -> Graph:
     zd = zd[np.array(order, dtype=np.int64)]
     ids = np.array(range(len(zd)), dtype=object)  # edge endpoints share these ints
     edges = []
-    block = model.row_block
+    block = model.block_rows(len(zd))
     for start in range(0, len(zd), block):
         chunk = zd[start : start + block]
         zero = model.mul_rows(chunk, zd) == 0

@@ -9,7 +9,11 @@ errors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations, product
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +34,8 @@ from .finite_ring import (
     ring_table,
     zero_divisor_classes,
 )
-from .isomorphism import graphs_isomorphic
+# no sweep calls graphs_isomorphic; perfbench/tracer.py wraps it under this name
+from .isomorphism import canonical_form, graphs_isomorphic  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -50,9 +55,7 @@ def _compare_routes(fact: Factorization, spec, residue, failures, tag):
     for loops in (False, True):
         basis = graph_from_factorization(fact, loops=loops)
         oracle = oracle_compressed_graph(spec, loops=loops)
-        labels = [
-            element_label(spec, residue(fact.divisor(v.exponents))) for v in basis.vertices
-        ]
+        labels = [element_label(spec, residue(fact.divisor(v.exponents))) for v in basis.vertices]
         if len(set(labels)) != len(labels):
             failures.append(f"{tag}: residue map merges basis vertices (loops={loops})")
             return
@@ -77,9 +80,7 @@ def oracle_equivalence_sweep(max_n: int = 2000, min_n: int = 2) -> SweepOutcome:
     failures: list[str] = []
     checked = 0
     for n in range(min_n, max_n + 1):
-        _compare_routes(
-            factor_integer(n), IntegersMod(n), lambda d, n=n: d % n, failures, f"Z/{n}"
-        )
+        _compare_routes(factor_integer(n), IntegersMod(n), lambda d: d % n, failures, f"Z/{n}")
         checked += 1
         if len(failures) > 20:
             break
@@ -90,20 +91,12 @@ def polynomial_oracle_sweep(ps=(2, 3, 5), max_deg: int = 4) -> SweepOutcome:
     """Basis route vs oracle route on F_p[x]/(f) for every monic f."""
     failures: list[str] = []
     checked = 0
-    for p in ps:
-        for deg in range(2, max_deg + 1):
-            for f in monic_polys(p, deg):
-                spec = PolyQuotient(p, f)
-                _compare_routes(
-                    factor_polynomial(f, p),
-                    spec,
-                    lambda d, f=f: d % f,
-                    failures,
-                    f"F{p}[x]/({f})",
-                )
-                checked += 1
-                if len(failures) > 20:
-                    return SweepOutcome("polynomial_oracle", checked, tuple(failures))
+    for p, f in ((p, f) for p in ps for deg in range(2, max_deg + 1) for f in monic_polys(p, deg)):
+        spec = PolyQuotient(p, f)
+        _compare_routes(factor_polynomial(f, p), spec, lambda d: d % f, failures, f"F{p}[x]/({f})")
+        checked += 1
+        if len(failures) > 20:
+            break
     return SweepOutcome("polynomial_oracle", checked, tuple(failures))
 
 
@@ -151,15 +144,14 @@ def _blowup_matrix_check(spec, failures, tag):
     scan, model = table.scan, table.model
     if not scan.zd_gids:
         return
-    gid_to_row = {gid: i for i, gid in enumerate(scan.zd_gids)}
     reps = np.array([scan.groups[gid].first for gid in scan.zd_gids], dtype=np.int64)
     adj = model.mul_rows(reps, reps) == 0
     zds = np.flatnonzero(np.isin(scan.class_ids, list(scan.zd_gids)))
     rows_of = np.full(model.size, -1, dtype=np.int64)
-    for gid, row in gid_to_row.items():
+    for row, gid in enumerate(scan.zd_gids):
         rows_of[scan.groups[gid].members] = row
     cid = rows_of[zds]
-    block = max(1, model.row_block)
+    block = model.block_rows(len(zds))
     for start in range(0, len(zds), block):
         chunk = zds[start : start + block]
         actual = model.mul_rows(chunk, zds) == 0
@@ -191,9 +183,8 @@ def blowup_sweep(
         if len(failures) > 20:
             return SweepOutcome("blowup", checked, tuple(failures))
     for spec in extra_specs:
-        tag = repr(spec)
-        _blowup_object_check(spec, failures, tag)
-        _blowup_matrix_check(spec, failures, tag)
+        _blowup_object_check(spec, failures, repr(spec))
+        _blowup_matrix_check(spec, failures, repr(spec))
         checked += 1
     return SweepOutcome("blowup", checked, tuple(failures))
 
@@ -206,75 +197,77 @@ def nz_lemma_sweep(specs) -> SweepOutcome:
         table = ring_table(spec)
         scan, model = table.scan, table.model
         ids = scan.class_ids
-        units = np.concatenate(
-            [g.members for g in scan.groups if g.ann_count == 1]
-            or [np.array([], dtype=np.int32)]
-        )
-        block = max(1, model.row_block)
-        ok = True
+        units = np.flatnonzero(np.array([g.ann_count == 1 for g in scan.groups])[ids])
+        block = model.block_rows(model.size)
         for start in range(0, len(units), block):
-            chunk = units[start : start + block]
-            rows = model.mul_rows(chunk)
+            rows = model.mul_rows(units[start : start + block])
             if not np.array_equal(ids[rows], np.broadcast_to(ids, rows.shape)):
                 failures.append(f"{spec!r}: a regular multiple changed class")
-                ok = False
                 break
-        if ok:
+        else:
             checked += len(units) * model.size
     return SweepOutcome("nz_lemma", checked, tuple(failures))
 
 
+class _Modulus(NamedTuple):
+    n: int
+    signature: tuple[int, ...]
+    invariants: tuple  # of the looped graph: vertex count, loop count, degree multiset
+    looped: tuple  # the canonical keys of the two basis graphs
+    unlooped: tuple
+
+
+def _keyed_moduli(max_n: int) -> list[_Modulus]:
+    """Every n in 2..max_n, factored once, its two basis graphs keyed once:
+    equal keys mean isomorphic graphs, so moduli are compared by key."""
+    moduli = []
+    for n in range(2, max_n + 1):
+        fact = factor_integer(n)
+        g, u = (graph_from_factorization(fact, loops=loops) for loops in (True, False))
+        invariants = (len(g.vertices), g.loop_count, g.degree_multiset())
+        keys = canonical_form(g).key, canonical_form(u, respect_loops=False).key
+        moduli.append(_Modulus(n, signature(fact), invariants, *keys))
+    return moduli
+
+
 def signature_sufficiency_sweep(max_n: int = 300) -> SweepOutcome:
-    """Equal signatures force isomorphic compressed graphs, looped or not."""
+    """Equal signatures force isomorphic compressed graphs, looped or not: each modulus's
+    keys against its signature's first modulus's; checked counts the moduli compared."""
     failures: list[str] = []
     checked = 0
-    by_sig: dict[tuple, list[int]] = {}
-    for n in range(2, max_n + 1):
-        by_sig.setdefault(signature(factor_integer(n)), []).append(n)
-    for sig, ns in sorted(by_sig.items()):
-        base_l = graph_from_factorization(factor_integer(ns[0]), loops=True)
-        base_u = graph_from_factorization(factor_integer(ns[0]), loops=False)
-        for n in ns[1:]:
-            g_l = graph_from_factorization(factor_integer(n), loops=True)
-            g_u = graph_from_factorization(factor_integer(n), loops=False)
-            checked += 1
-            if not graphs_isomorphic(base_l, g_l).isomorphic:
-                failures.append(f"signature {sig}: Z/{ns[0]} vs Z/{n} looped graphs differ")
-            if not graphs_isomorphic(base_u, g_u, respect_loops=False).isomorphic:
-                failures.append(f"signature {sig}: Z/{ns[0]} vs Z/{n} unlooped graphs differ")
-            if len(failures) > 20:
-                return SweepOutcome("signature_sufficiency", checked, tuple(failures))
+    first: dict[tuple, _Modulus] = {}
+    for m in sorted(_keyed_moduli(max_n), key=lambda m: m.signature):
+        base = first.setdefault(m.signature, m)
+        checked += base is not m
+        failures += [
+            f"signature {m.signature}: Z/{base.n} vs Z/{m.n} {kind} graphs differ"
+            for kind in ("looped", "unlooped")
+            if getattr(m, kind) != getattr(base, kind)
+        ]
+        if len(failures) > 20:
+            break
     return SweepOutcome("signature_sufficiency", checked, tuple(failures))
 
 
 def looped_necessity_sweep(max_n: int = 300) -> SweepOutcome:
-    """Scan for looped-isomorphic pairs with different signatures.
+    """Moduli of different signatures with isomorphic looped graphs.
 
     Any hit is reported as a finding, not a failure: this direction is a
-    belief to probe, not a theorem to enforce.
+    belief to probe, not a theorem to enforce. checked counts the cross-signature
+    pairs that no invariant (vertex count, loop count, degree multiset) separates.
     """
-    findings: list[str] = []
-    checked = 0
-    graphs = {}
-    sigs = {}
-    for n in range(2, max_n + 1):
-        fact = factor_integer(n)
-        sigs[n] = signature(fact)
-        graphs[n] = graph_from_factorization(fact, loops=True)
-    ns = sorted(graphs)
-    for i, n1 in enumerate(ns):
-        g1 = graphs[n1]
-        key1 = (len(g1.vertices), g1.loop_count, g1.degree_multiset())
-        for n2 in ns[i + 1 :]:
-            if sigs[n1] == sigs[n2]:
-                continue
-            g2 = graphs[n2]
-            if key1 != (len(g2.vertices), g2.loop_count, g2.degree_multiset()):
-                continue
-            checked += 1
-            if graphs_isomorphic(g1, g2).isomorphic:
-                findings.append(
-                    f"Z/{n1} (signature {sigs[n1]}) and Z/{n2} (signature {sigs[n2]}) "
-                    "have isomorphic looped graphs"
-                )
-    return SweepOutcome("looped_necessity", checked, (), tuple(findings))
+    moduli = _keyed_moduli(max_n)
+    by_inv: dict[tuple, Counter] = {}  # signature counts per bucket of equal invariants
+    parts: dict[tuple, dict[tuple, list[_Modulus]]] = {}  # each key's moduli by signature
+    for m in moduli:
+        by_inv.setdefault(m.invariants, Counter())[m.signature] += 1
+        parts.setdefault(m.looped, {}).setdefault(m.signature, []).append(m)
+    checked = sum(comb(b.total(), 2) - sum(comb(c, 2) for c in b.values()) for b in by_inv.values())
+    # a finding pairs two moduli from different signature parts of one key
+    pairs = (product(*two) for by_sig in parts.values() for two in combinations(by_sig.values(), 2))
+    findings = tuple(
+        f"Z/{a.n} (signature {a.signature}) and Z/{b.n} (signature {b.signature}) "
+        "have isomorphic looped graphs"
+        for a, b in sorted(sorted(pair) for pair in chain.from_iterable(pairs))
+    )
+    return SweepOutcome("looped_necessity", checked, (), findings)

@@ -460,6 +460,10 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 parse_poly_pretty(bad, 2)
 
+    def test_pretty_parse_reads_x_only(self):
+        with pytest.raises(ValueError, match="unknown variable 'y' in 'y\\^2\\+1'"):
+            parse_poly_pretty("y^2+1", 2)
+
 
 class TestFactorizationValidation:
     def test_rejects_unsorted(self):

@@ -286,17 +286,28 @@ class TestCanonicalForm:
 
 class TestSignatureSufficiency:
     @pytest.mark.parametrize("respect_loops, kind", [(True, "looped"), (False, "unlooped")])
-    def test_search_says_no(self, monkeypatch, respect_loops, kind):
+    def test_key_says_no(self, monkeypatch, respect_loops, kind):
         g10 = graph_from_factorization(factor_integer(10), loops=respect_loops)
 
-        def fault(report, g1, g2, **kw):
-            if g2 == g10 and kw.get("respect_loops", True) == respect_loops:
-                return IsoReport(False, None, "planted", 0)
-            return report
+        def fault(form, g, **kw):
+            if g == g10 and kw.get("respect_loops", True) == respect_loops:
+                return replace(form, key=("planted",))
+            return form
 
-        plant(monkeypatch, sweeps, "graphs_isomorphic", fault)
+        plant(monkeypatch, sweeps, "canonical_form", fault)
         out = sweeps.signature_sufficiency_sweep(max_n=12)
         assert out.failures == (f"signature (1, 1): Z/6 vs Z/10 {kind} graphs differ",)
+
+    def test_stops_past_twenty_failures(self, monkeypatch):
+        # every key unique: each prime after 2 fails looped and unlooped, so
+        # the sweep stops at the 11th, Z/37, with 22 failures
+        plant(monkeypatch, sweeps, "canonical_form", lambda form, g, **kw: replace(form, key=object()))
+        out = sweeps.signature_sufficiency_sweep(max_n=300)
+        assert (out.checked, len(out.failures)) == (11, 22)
+        assert out.failures[-2:] == (
+            "signature (1,): Z/2 vs Z/37 looped graphs differ",
+            "signature (1,): Z/2 vs Z/37 unlooped graphs differ",
+        )
 
 
 class TestLoopedNecessity:

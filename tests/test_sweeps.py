@@ -4,14 +4,17 @@ The acceptance tests rerun these with the full bounds; here the point is
 that every sweep works and stays green on a meaningful slice.
 """
 
-from zdgraph.arithmetic import FpPoly
+from zdgraph.arithmetic import FpPoly, factor_integer
+from zdgraph.compressed_graph import graph_from_factorization, signature
 from zdgraph.finite_ring import (
     BivariateMonomialQuotient,
     IntegersMod,
     PolyQuotient,
     parse_ring_spec,
 )
+from zdgraph.isomorphism import graphs_isomorphic
 from zdgraph.sweeps import (
+    SweepOutcome,
     blowup_sweep,
     gcd_theorem_sweep,
     looped_necessity_sweep,
@@ -84,11 +87,72 @@ class TestNzLemma:
         assert out.checked > 0
 
 
+def reference_signature_sufficiency(max_n):
+    """The sweep as a pair loop: each modulus's graphs against those of the
+    first modulus of its signature, by isomorphism search."""
+    failures = []
+    checked = 0
+    by_sig = {}
+    for n in range(2, max_n + 1):
+        by_sig.setdefault(signature(factor_integer(n)), []).append(n)
+    for sig, ns in sorted(by_sig.items()):
+        base_l = graph_from_factorization(factor_integer(ns[0]), loops=True)
+        base_u = graph_from_factorization(factor_integer(ns[0]), loops=False)
+        for n in ns[1:]:
+            g_l = graph_from_factorization(factor_integer(n), loops=True)
+            g_u = graph_from_factorization(factor_integer(n), loops=False)
+            checked += 1
+            if not graphs_isomorphic(base_l, g_l).isomorphic:
+                failures.append(f"signature {sig}: Z/{ns[0]} vs Z/{n} looped graphs differ")
+            if not graphs_isomorphic(base_u, g_u, respect_loops=False).isomorphic:
+                failures.append(f"signature {sig}: Z/{ns[0]} vs Z/{n} unlooped graphs differ")
+            if len(failures) > 20:
+                return SweepOutcome("signature_sufficiency", checked, tuple(failures))
+    return SweepOutcome("signature_sufficiency", checked, tuple(failures))
+
+
+def reference_looped_necessity(max_n):
+    """The sweep as a pair loop: every cross-signature pair that vertex
+    count, loop count and degree multiset leave together is searched."""
+    findings = []
+    checked = 0
+    graphs = {}
+    sigs = {}
+    for n in range(2, max_n + 1):
+        fact = factor_integer(n)
+        sigs[n] = signature(fact)
+        graphs[n] = graph_from_factorization(fact, loops=True)
+    ns = sorted(graphs)
+    for i, n1 in enumerate(ns):
+        g1 = graphs[n1]
+        key1 = (len(g1.vertices), g1.loop_count, g1.degree_multiset())
+        for n2 in ns[i + 1 :]:
+            if sigs[n1] == sigs[n2]:
+                continue
+            g2 = graphs[n2]
+            if key1 != (len(g2.vertices), g2.loop_count, g2.degree_multiset()):
+                continue
+            checked += 1
+            if graphs_isomorphic(g1, g2).isomorphic:
+                findings.append(
+                    f"Z/{n1} (signature {sigs[n1]}) and Z/{n2} (signature {sigs[n2]}) "
+                    "have isomorphic looped graphs"
+                )
+    return SweepOutcome("looped_necessity", checked, (), tuple(findings))
+
+
+SIGNATURE_SWEEP_BOUNDS = (*range(2, 151), 300)
+
+
 class TestSignatureSufficiency:
     def test_up_to_150(self):
         out = signature_sufficiency_sweep(max_n=150)
         assert out.failures == ()
         assert out.checked > 40
+
+    def test_matches_the_pair_loop(self):
+        for max_n in SIGNATURE_SWEEP_BOUNDS:
+            assert signature_sufficiency_sweep(max_n) == reference_signature_sufficiency(max_n)
 
 
 class TestLoopedNecessity:
@@ -97,13 +161,13 @@ class TestLoopedNecessity:
         assert out.failures == ()
         assert isinstance(out.findings, tuple)
 
+    def test_matches_the_pair_loop(self):
+        for max_n in SIGNATURE_SWEEP_BOUNDS:
+            assert looped_necessity_sweep(max_n) == reference_looped_necessity(max_n)
+
     def test_cross_signature_pair_really_differs(self):
         # guards against the sweep passing vacuously: Z/30 and Z/24 share a
         # vertex count (6) but their looped graphs must still separate
-        from zdgraph.arithmetic import factor_integer
-        from zdgraph.compressed_graph import graph_from_factorization, signature
-        from zdgraph.isomorphism import graphs_isomorphic
-
         f30, f24 = factor_integer(30), factor_integer(24)
         assert signature(f30) != signature(f24)
         g30 = graph_from_factorization(f30, loops=True)
