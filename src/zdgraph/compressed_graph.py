@@ -15,7 +15,7 @@ factorizations, and the two routes are compared in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, product as _cartesian
 from operator import itemgetter, lt
 
@@ -119,7 +119,7 @@ class CompressedGraph:
         """This graph with vertex i renamed labels[i], in canonical form;
         metadata, loop flags and edges carry over."""
         _check_relabel(self.vertices, labels)
-        verts = tuple(replace(v, label=s) for v, s in zip(self.vertices, labels))
+        verts = tuple(Vertex(s, v.exponents, v.size, v.loop) for v, s in zip(self.vertices, labels))
         return CompressedGraph(verts, self.edges, self.loops_admitted)
 
     @property

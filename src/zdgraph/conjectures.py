@@ -483,11 +483,9 @@ def check_conjecture1(ring1, ring2, budget: int = DEFAULT_BUDGET) -> ConjectureR
 # --- conjecture 2 -------------------------------------------------------------
 
 
-def _sample_indices(size: int):
-    if size <= SAMPLE_LIMIT:
-        return range(size)
-    step = -(-size // SAMPLE_LIMIT)
-    return range(0, size, step)
+def _sample_indices(size: int) -> range:
+    """Every index up to SAMPLE_LIMIT; past it, every step-th, at most SAMPLE_LIMIT."""
+    return range(0, size, -(-size // SAMPLE_LIMIT))
 
 
 def check_conjecture2(ambient, union_gens) -> ConjectureReport:
@@ -501,13 +499,14 @@ def check_conjecture2(ambient, union_gens) -> ConjectureReport:
     quotient, qmodel, scan = window.quotient, window.model, window.scan
     details["quotient_graph_digest"] = _digest(oracle_compressed_graph(quotient, loops=True))
     amodel = ring_table(ambient).model
+    sample = _sample_indices(amodel.size)
     details["sample"] = (
         "all window elements"
-        if amodel.size <= SAMPLE_LIMIT
-        else f"every {-(-amodel.size // SAMPLE_LIMIT)}th window element"
+        if sample.step == 1
+        else f"every window element whose index is a multiple of {sample.step}"
     )
     checked = 0
-    for a in (amodel.element(i) for i in _sample_indices(amodel.size)):
+    for a in map(amodel.element, sample):
         g = _ufd_gcd(ambient, a, union_gens)
         ca = scan.class_ids[qmodel.index(a)]
         cg = scan.class_ids[qmodel.index(g)]

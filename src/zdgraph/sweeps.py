@@ -19,6 +19,7 @@ import numpy as np
 
 from .arithmetic import Factorization, factor_integer, factor_polynomial, monic_polys
 from .compressed_graph import (
+    CompressedGraph,
     expand_to_full_graph,
     gcd_class_residues,
     graph_from_factorization,
@@ -212,21 +213,18 @@ def nz_lemma_sweep(specs) -> SweepOutcome:
 class _Modulus(NamedTuple):
     n: int
     signature: tuple[int, ...]
-    invariants: tuple  # of the looped graph: vertex count, loop count, degree multiset
-    looped: tuple  # the canonical keys of the two basis graphs
-    unlooped: tuple
+    graph: CompressedGraph  # looped; keyed with loops ignored, it reads as unlooped
+    looped: tuple  # its canonical key
 
 
 def _keyed_moduli(max_n: int) -> list[_Modulus]:
-    """Every n in 2..max_n, factored once, its two basis graphs keyed once:
-    equal keys mean isomorphic graphs, so moduli are compared by key."""
+    """Every n in 2..max_n, factored once, its looped basis graph built and keyed
+    once: equal keys mean isomorphic graphs, so moduli are compared by key."""
     moduli = []
     for n in range(2, max_n + 1):
         fact = factor_integer(n)
-        g, u = (graph_from_factorization(fact, loops=loops) for loops in (True, False))
-        invariants = (len(g.vertices), g.loop_count, g.degree_multiset())
-        keys = canonical_form(g).key, canonical_form(u, respect_loops=False).key
-        moduli.append(_Modulus(n, signature(fact), invariants, *keys))
+        g = graph_from_factorization(fact, loops=True)
+        moduli.append(_Modulus(n, signature(fact), g, canonical_form(g).key))
     return moduli
 
 
@@ -235,14 +233,15 @@ def signature_sufficiency_sweep(max_n: int = 300) -> SweepOutcome:
     keys against its signature's first modulus's; checked counts the moduli compared."""
     failures: list[str] = []
     checked = 0
-    first: dict[tuple, _Modulus] = {}
+    first: dict[tuple, tuple[_Modulus, dict]] = {}
     for m in sorted(_keyed_moduli(max_n), key=lambda m: m.signature):
-        base = first.setdefault(m.signature, m)
+        keys = {"looped": m.looped, "unlooped": canonical_form(m.graph, respect_loops=False).key}
+        base, base_keys = first.setdefault(m.signature, (m, keys))
         checked += base is not m
         failures += [
             f"signature {m.signature}: Z/{base.n} vs Z/{m.n} {kind} graphs differ"
-            for kind in ("looped", "unlooped")
-            if getattr(m, kind) != getattr(base, kind)
+            for kind in keys
+            if keys[kind] != base_keys[kind]
         ]
         if len(failures) > 20:
             break
@@ -260,7 +259,8 @@ def looped_necessity_sweep(max_n: int = 300) -> SweepOutcome:
     by_inv: dict[tuple, Counter] = {}  # signature counts per bucket of equal invariants
     parts: dict[tuple, dict[tuple, list[_Modulus]]] = {}  # each key's moduli by signature
     for m in moduli:
-        by_inv.setdefault(m.invariants, Counter())[m.signature] += 1
+        invariants = (len(m.graph.vertices), m.graph.loop_count, m.graph.degree_multiset())
+        by_inv.setdefault(invariants, Counter())[m.signature] += 1
         parts.setdefault(m.looped, {}).setdefault(m.signature, []).append(m)
     checked = sum(comb(b.total(), 2) - sum(comb(c, 2) for c in b.values()) for b in by_inv.values())
     # a finding pairs two moduli from different signature parts of one key

@@ -221,6 +221,60 @@ class TestGraphFromFactorization:
             assert (len(g.vertices), len(g.edges), g.loop_count) == (1438, 64165, 11)
 
 
+def signatures_up_to(max_vertices):
+    """Every non-increasing exponent tuple s whose basis graph has at most
+    max_vertices vertices, prod(s_i + 1) - 2 of them."""
+
+    def grow(s, divisors):
+        if s:
+            yield s
+        for e in range(1, s[-1] + 1 if s else max_vertices + 2):
+            if divisors * (e + 1) - 2 <= max_vertices:
+                yield from grow(s + (e,), divisors * (e + 1))
+
+    return grow((), 1)
+
+
+def closed_form_mismatches(max_vertices):
+    """Where graph_from_exponents(s, loops=True) departs from its closed form,
+    for every s of signatures_up_to(max_vertices): vertex v is looped iff
+    2v >= s, has degree prod(v_i + 1) - 1 - [2v >= s] (the w >= s - v, less s
+    and v itself), and prod(s_i // 2 + 1) - 1 vertices are looped."""
+    out = []
+    for s in signatures_up_to(max_vertices):
+        g = graph_from_exponents(s, loops=True)
+        degree = [0] * len(g.vertices)
+        for i, j in g.edges:
+            degree[i] += 1
+            degree[j] += 1
+        for v, d in zip(g.vertices, degree):
+            half = all(2 * x >= e for x, e in zip(v.exponents, s))
+            if v.loop != half or d != math.prod(x + 1 for x in v.exponents) - 1 - half:
+                out.append(f"signature {s}: vertex {v.label} (loop {v.loop}, degree {d})")
+        if g.loop_count != math.prod(e // 2 + 1 for e in s) - 1:
+            out.append(f"signature {s}: {g.loop_count} looped vertices")
+    return out
+
+
+class TestClosedForm:
+    """The basis graph read off exponent vectors alone, with no ring and no
+    oracle. CI runs closed_form_mismatches(400) as well."""
+
+    def test_signatures_up_to_150_vertices(self):
+        assert len(list(signatures_up_to(150))) == 618
+        assert closed_form_mismatches(150) == []
+
+    def test_a_wrong_edge_is_caught(self, monkeypatch):
+        real = compressed_graph.graph_from_exponents
+
+        def dropped_edge(s, loops):
+            g = real(s, loops)
+            return CompressedGraph(g.vertices, g.edges[1:], g.loops_admitted) if s == (2, 1) else g
+
+        monkeypatch.setitem(globals(), "graph_from_exponents", dropped_edge)
+        assert len(closed_form_mismatches(4)) == 2
+
+
 class TestBasisGraph:
     """Several generator vectors: the union rule against a plain loop."""
 

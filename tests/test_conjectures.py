@@ -299,6 +299,22 @@ class TestConjecture2:
         assert report.details["checked"] == 48
         assert report.details["sample"] == "all window elements"
 
+    @pytest.mark.parametrize(
+        "n, gen, sample, checked",
+        [
+            (5000, 1250, "all window elements", 5000),
+            (5004, 1251, "every window element whose index is a multiple of 2", 2502),
+            (15000, 3750, "every window element whose index is a multiple of 3", 5000),
+        ],
+    )
+    def test_sample_above_the_limit(self, n, gen, sample, checked):
+        # at most SAMPLE_LIMIT elements are checked: past it, every step-th
+        # element, the step rounded up so the count stays within the limit
+        report = check_conjecture2(IntegersMod(n), [gen])
+        assert report.verdict == "supported"
+        assert report.details["sample"] == sample
+        assert report.details["checked"] == checked
+
     def test_unit_generator_skips(self):
         report = check_conjecture2(IntegersMod(48), [1])
         assert report.verdict == "skipped"

@@ -4,6 +4,11 @@ The acceptance tests rerun these with the full bounds; here the point is
 that every sweep works and stays green on a meaningful slice.
 """
 
+from collections import Counter
+
+import pytest
+
+from zdgraph import sweeps
 from zdgraph.arithmetic import FpPoly, factor_integer
 from zdgraph.compressed_graph import graph_from_factorization, signature
 from zdgraph.finite_ring import (
@@ -61,8 +66,6 @@ class TestBlowup:
     def test_class_named_differently_is_reported(self, monkeypatch):
         # the class of 4 in Z/12 listed under 5: its expanded vertices have
         # no rename, which is a failure to report, not a KeyError
-        from zdgraph import sweeps
-
         real = sweeps.element_label
         monkeypatch.setattr(
             sweeps,
@@ -142,6 +145,31 @@ def reference_looped_necessity(max_n):
 
 
 SIGNATURE_SWEEP_BOUNDS = (*range(2, 151), 300)
+
+
+@pytest.mark.parametrize(
+    "sweep, expected_keys",
+    [(signature_sufficiency_sweep, {True: 59, False: 59}), (looped_necessity_sweep, {True: 59})],
+)
+def test_one_looped_build_per_modulus(monkeypatch, sweep, expected_keys):
+    # the unlooped key is the looped graph's with loops ignored, so no sweep
+    # builds a loop-free graph, and necessity never keys one
+    builds, keys = Counter(), Counter()
+
+    def counted(name, tally, flag, default):
+        real = getattr(sweeps, name)
+
+        def call(*args, **kw):
+            tally[kw.get(flag, default)] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(sweeps, name, call)
+
+    counted("graph_from_factorization", builds, "loops", None)
+    counted("canonical_form", keys, "respect_loops", True)
+    sweep(max_n=60)  # the 59 moduli 2..60
+    assert builds == {True: 59}
+    assert keys == expected_keys
 
 
 class TestSignatureSufficiency:
