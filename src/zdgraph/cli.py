@@ -81,10 +81,9 @@ def _vertex_line(v) -> str:
     return "  ".join(parts)
 
 
-def _print_compressed_table(g, out) -> None:
-    labels = [v.label for v in g.vertices]
-    _write_lines(map(_vertex_line, g.vertices), out)
-    _write_lines((f"edge {labels[i]} -- {labels[j]}" for i, j in g.edges), out)
+def _print_table(vertex_lines, labels, edges, out) -> None:
+    _write_lines(vertex_lines, out)
+    _write_lines((f"edge {labels[i]} -- {labels[j]}" for i, j in edges), out)
 
 
 def _cmd_graph(args, out) -> int:
@@ -94,7 +93,8 @@ def _cmd_graph(args, out) -> int:
     elif args.format == "dot":
         out.write(g.to_dot())
     else:
-        _print_compressed_table(g.as_compressed(), out)
+        # the table of g.as_compressed(), without building that graph
+        _print_table((f"vertex {s}" for s in g.labels), g.labels, g.edges, out)
     return 0
 
 
@@ -105,7 +105,7 @@ def _cmd_compress(args, out) -> int:
     elif args.format == "dot":
         out.write(to_dot(g))
     else:
-        _print_compressed_table(g, out)
+        _print_table(map(_vertex_line, g.vertices), [v.label for v in g.vertices], g.edges, out)
     return 0
 
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, product as _cartesian
-from operator import itemgetter, lt
+from itertools import combinations, product as _cartesian
 
 from .arithmetic import (
     Factorization,
@@ -83,7 +82,7 @@ class Vertex:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("vertex label must be a nonempty string")
         if self.exponents is not None:
-            object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+            object.__setattr__(self, "exponents", tuple(map(int, self.exponents)))
         if self.size is not None and self.size < 1:
             raise ValueError(f"class size must be >= 1, got {self.size}")
 
@@ -183,15 +182,21 @@ def _canonical(labels, edges, self_edge_error: str):
     """Shared canonical form: the label sort order, and the edges renumbered
     into it, deduplicated, oriented i < j and sorted.
 
-    The builders sort their vertices by label before they compute edges, so
-    their edges arrive in this form; those are checked in one pass and kept
-    as they are. Relabelled graphs and outside input are renumbered."""
+    Edges come as (i, j) pairs, which are renumbered, or as one (E, 2)
+    integer array. The builders hand over such an array already in that
+    form, which is only checked; any other array is renumbered as its
+    pairs."""
     n = len(labels)
     if len(set(labels)) != n:
         raise ValueError("vertex labels must be pairwise distinct")
     order = sorted(range(n), key=labels.__getitem__)
-    if order == list(range(n)) and _in_order(edges, n):
-        return order, tuple(edges)
+    if type(edges).__module__ == "numpy":
+        if order == list(range(n)) and _is_canonical_array(edges, n):
+            import numpy as np  # imported here for the reason given in _basis_edges
+
+            ids = np.array(range(n), dtype=object)  # edge endpoints share these ints
+            return order, tuple(zip(ids[edges[:, 0]].tolist(), ids[edges[:, 1]].tolist()))
+        edges = edges.tolist()
     rank = [0] * n
     for new, old in enumerate(order):
         rank[old] = new
@@ -206,23 +211,20 @@ def _canonical(labels, edges, self_edge_error: str):
     return order, tuple(sorted(remapped))
 
 
-def _in_order(edges, n: int) -> bool:
-    """Whether edges is a tuple or list of (i, j) tuples of Python ints with
-    0 <= i < j < n, strictly increasing: the form _canonical gives them."""
-    if type(edges) not in (tuple, list):
+def _is_canonical_array(edges, n: int) -> bool:
+    """Whether edges is an (E, 2) integer array with 0 <= i < j < n in every
+    row and the keys i * n + j strictly increasing: the form _canonical
+    gives them."""
+    if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
         return False
-    if not edges:
+    if not len(edges):
         return True
-    if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {2}:
+    ends = edges.astype("int64")  # uint64 above the int64 range turns negative
+    first, second = ends[:, 0], ends[:, 1]
+    if ends.min() < 0 or ends.max() >= n or not (first < second).all():
         return False
-    first, second = itemgetter(0), itemgetter(1)
-    return (
-        set(map(type, chain.from_iterable(edges))) == {int}
-        and edges[0][0] >= 0
-        and max(map(second, edges)) < n
-        and all(map(lt, map(first, edges), map(second, edges)))
-        and all(map(lt, edges, islice(edges, 1, None)))
-    )
+    keys = first * n + second
+    return bool((keys[1:] > keys[:-1]).all())
 
 
 # --- the zero-divisor basis -------------------------------------------------
@@ -245,8 +247,21 @@ class ZeroDivisorBasis:
         return len(self.vectors)
 
     def divisors(self) -> tuple:
-        """The canonical divisor elements, aligned with vectors."""
-        return tuple(self.factorization.divisor(v) for v in self.vectors)
+        """The canonical divisor elements, aligned with vectors.
+
+        The divisor box is walked in the vectors' order, the last exponent
+        fastest, each divisor one multiplication from the one before it."""
+        fact = self.factorization
+        box = [1 if fact.backend == "int" else FpPoly(fact.char, (1,))]
+        for irr, e in fact.factors:
+            walked = []
+            for d in box:
+                walked.append(d)
+                for _ in range(e):
+                    d = d * irr.value
+                    walked.append(d)
+            box = walked
+        return tuple(box[1:-1])  # less the unit and n itself
 
 
 def zero_divisor_basis(fact: Factorization) -> ZeroDivisorBasis:
@@ -269,18 +284,15 @@ def basis_graph(gen_vectors, vectors, labels, loops: bool) -> CompressedGraph:
     """Graph of a union of principal ideals, one exponent vector s per
     generator, on the given vectors: edge between v, w iff v + w >= s
     componentwise for some s; loop at v iff 2v >= s for some s."""
-
-    def looped(v):
-        return any(all(2 * x >= e for x, e in zip(v, s)) for s in gen_vectors)
-
     # in label order, so that the edges come out in canonical order
     order = sorted(range(len(vectors)), key=labels.__getitem__)
     vectors = [vectors[i] for i in order]
-    labels = [labels[i] for i in order]
+    edges, looped = _basis_edges(gen_vectors, vectors)
     verts = tuple(
-        Vertex(label, exponents=v, loop=loops and looped(v)) for v, label in zip(vectors, labels)
+        Vertex(labels[i], exponents=v, loop=loops and loop)
+        for i, v, loop in zip(order, vectors, looped)
     )
-    return CompressedGraph(verts, _basis_edges(gen_vectors, vectors), loops)
+    return CompressedGraph(verts, edges, loops)
 
 
 # Pairs tested per block in _basis_edges: a graph of up to 256 vertices
@@ -289,19 +301,24 @@ def basis_graph(gen_vectors, vectors, labels, loops: bool) -> CompressedGraph:
 _EDGE_BLOCK = 1 << 16
 
 
-def _basis_edges(gen_vectors, vectors) -> list[tuple[int, int]]:
+def _basis_edges(gen_vectors, vectors):
     """The pairs (a, b), a < b, with vectors[b] >= s - vectors[a]
-    componentwise for some s in gen_vectors, in increasing order."""
+    componentwise for some s in gen_vectors, in increasing order, as an
+    (E, 2) array; and whether each vectors[a] >= s - vectors[a] for some s
+    (its loop), as a list of bools."""
     # Imported here so that `import zdgraph` still loads numpy only after its
     # other modules: loading it first left about 1 MB more resident when the
     # modules compile from source (no cached bytecode).
     import numpy as np
 
-    n = len(vectors)
-    comps = np.array(vectors, dtype=np.int64).reshape(n, len(gen_vectors[0])).T  # component i
-    needs = [np.array(s, dtype=np.int64)[:, None] - comps for s in gen_vectors]
-    ids = np.array(range(n), dtype=object)  # edge endpoints share these ints
-    edges: list[tuple[int, int]] = []
+    n, k = len(vectors), len(gen_vectors[0])
+    comps = np.array(vectors, dtype=np.int64).reshape(n, k).T  # component i
+    gens = np.array(gen_vectors, dtype=np.int64).reshape(-1, k)
+    # s - v lies in [-max, max]: compare in the narrowest signed type that holds it
+    narrow = np.min_scalar_type(-int(max(gens.max(), comps.max(initial=0))) - 1)
+    comps, gens = comps.astype(narrow), gens.astype(narrow)
+    needs = [s[:, None] - comps for s in gens]
+    blocks, loops = [np.empty((0, 2), dtype=np.intp)], [np.empty(0, dtype=bool)]
     step = max(1, _EDGE_BLOCK // max(n, 1))
     for lo in range(0, n, step):
         # rows a in [lo, lo + step) against columns b in [lo, n), for each s
@@ -311,10 +328,11 @@ def _basis_edges(gen_vectors, vectors) -> list[tuple[int, int]]:
             for c, t in zip(comps[1:], need[1:]):
                 h &= c[lo:] >= t[lo : lo + step, None]
             hit = h if hit is None else hit | h
+        loops.append(hit.diagonal())  # b = a: the loop at a
         rows, cols = np.nonzero(hit)
         upper = cols > rows
-        edges.extend(zip(ids[rows[upper] + lo].tolist(), ids[cols[upper] + lo].tolist()))
-    return edges
+        blocks.append(np.transpose((rows[upper], cols[upper])) + lo)
+    return np.concatenate(blocks), np.concatenate(loops).tolist()
 
 
 def graph_from_exponents(s: tuple[int, ...], loops: bool) -> CompressedGraph:

@@ -56,7 +56,7 @@ from .finite_ring import (
     BivariateMonomialQuotient,
     IntegersMod,
     PolyQuotient,
-    annihilator,
+    annihilator_size,
     count_regular_elements,
     element_label,
     format_ring_spec,
@@ -245,7 +245,7 @@ def _ufd_gcd(ambient, a, gens):
 
 def _is_unit_gen(ambient, g) -> bool:
     # in a finite ring an element is a unit exactly when only 0 annihilates it
-    return len(annihilator(ambient, g)) == 1
+    return annihilator_size(ambient, g) == 1
 
 
 def _union_gate(ambient, gens, details) -> str | None:

@@ -75,6 +75,7 @@ __all__ = [
     "standard_monomials",
     "enumerate_elements",
     "annihilator",
+    "annihilator_size",
     "zero_divisor_classes",
     "oracle_compressed_graph",
     "full_zero_divisor_graph",
@@ -792,11 +793,21 @@ def _mask_indices(mask: bytes, n: int) -> np.ndarray:
 
 def annihilator(spec, r) -> list:
     """Every x with r*x = 0, in enumeration order."""
+    model, zero = _annihilator_row(spec, r)
+    return [model.element(int(i)) for i in np.flatnonzero(zero)]
+
+
+def annihilator_size(spec, r) -> int:
+    """len(annihilator(spec, r)), counted without listing the elements."""
+    return int(np.count_nonzero(_annihilator_row(spec, r)[1]))
+
+
+def _annihilator_row(spec, r):
+    """The ring's model, and whether r*x = 0 for each element x."""
     model = ring_table(spec).model
     if model.size > ENUMERATION_LIMIT:
         raise RingTooLarge(f"ring has {model.size} elements, above {ENUMERATION_LIMIT}")
-    row = model.mul_rows([model.index(r)])[0]
-    return [model.element(int(i)) for i in np.flatnonzero(row == 0)]
+    return model, model.mul_rows([model.index(r)])[0] == 0
 
 
 def zero_divisor_classes(spec) -> list[AnnihilatorClass]:
@@ -826,8 +837,7 @@ def oracle_compressed_graph(spec, loops: bool) -> CompressedGraph:
     decided by multiplying class representatives."""
     ring = ring_table(spec)
     scan, model = ring.scan, ring.model
-    # (label, representative, size) in label order, so that the edges come
-    # out in canonical order
+    # (label, representative, size) in label order
     groups = [scan.groups[gid] for gid in scan.zd_gids]
     firsts = [g.first for g in groups]
     classes = sorted(zip(ring.labels(firsts), firsts, (len(g.members) for g in groups)))
@@ -838,8 +848,7 @@ def oracle_compressed_graph(spec, loops: bool) -> CompressedGraph:
         for pos, (label, _, size) in enumerate(classes)
     )
     rows, cols = np.nonzero(np.triu(table, 1))
-    ids = np.array(range(len(reps)), dtype=object)  # edge endpoints share these ints
-    return CompressedGraph(verts, tuple(zip(ids[rows].tolist(), ids[cols].tolist())), loops)
+    return CompressedGraph(verts, tuple(zip(rows.tolist(), cols.tolist())), loops)
 
 
 def full_zero_divisor_graph(spec) -> Graph:
@@ -856,16 +865,16 @@ def full_zero_divisor_graph(spec) -> Graph:
     # in label order, so that the edges come out in canonical order
     order = sorted(range(len(zd)), key=labels.__getitem__)
     zd = zd[np.array(order, dtype=np.int64)]
-    ids = np.array(range(len(zd)), dtype=object)  # edge endpoints share these ints
-    edges = []
+    edges = [np.empty((0, 2), dtype=np.int64)]
     block = model.block_rows(len(zd))
     for start in range(0, len(zd), block):
         chunk = zd[start : start + block]
         zero = model.mul_rows(chunk, zd) == 0
         # local row i is vertex start + i; keep the columns right of it
-        rows, cols = np.nonzero(np.triu(zero, start + 1))
-        edges.extend(zip(ids[rows + start].tolist(), ids[cols].tolist()))
-    return Graph(tuple(labels[i] for i in order), tuple(edges))
+        pairs = np.argwhere(np.triu(zero, start + 1))
+        pairs[:, 0] += start
+        edges.append(pairs)
+    return Graph(tuple(labels[i] for i in order), np.concatenate(edges))
 
 
 def count_regular_elements(spec) -> int:

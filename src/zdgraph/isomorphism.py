@@ -122,37 +122,38 @@ def graphs_isomorphic(
             raise AssertionError("internal error: witness failed verification")
         return IsoReport(True, pairs, None, 0)
 
-    # one refinement of the disjoint union, g2's vertices numbered from n,
-    # so that a color means the same in both graphs; seeding the degree
-    # saves the round that would find it
-    adj1, adj2 = _adjacency(g1), _adjacency(g2)
-    adj = adj1 + [{u + n for u in nbrs} for nbrs in adj2]
+    # one refinement of the disjoint union, g2's vertex j numbered n + j
+    # there and in the search below, so that a color means the same in both
+    # graphs; seeding the degree saves the round that would find it
+    adj = _adjacency(g1) + [set() for _ in range(n)]
+    for i, j in g2.edges:
+        adj[n + i].add(n + j)
+        adj[n + j].add(n + i)
     seeds = [(len(nbrs), a) for nbrs, a in zip(adj, attrs1 + attrs2)]
     rank = {s: i for i, s in enumerate(sorted(set(seeds)))}
     colors = _equitable([rank[s] for s in seeds], adj)
-    col1, col2 = colors[:n], colors[n:]
 
     by_color2: dict[int, list[int]] = {}
-    for j, c in enumerate(col2):
-        by_color2.setdefault(c, []).append(j)
+    for w in range(n, 2 * n):
+        by_color2.setdefault(colors[w], []).append(w)
     # most constrained first: rare colors, then high degree
     order = sorted(
-        range(n), key=lambda i: (len(by_color2.get(col1[i], ())), -len(adj1[i]), i)
+        range(n), key=lambda i: (len(by_color2.get(colors[i], ())), -len(adj[i]), i)
     )
-    candidates = [by_color2.get(col1[i], []) for i in range(n)]
+    candidates = [by_color2.get(colors[i], []) for i in range(n)]
 
     mapping = [-1] * n
-    used = [False] * len(g2.vertices)
+    used = [False] * (2 * n)
     nodes = 0
 
     def consistent(v, w):
         """Whether v -> w keeps adjacency to every vertex mapped so far: the
         images of v's mapped neighbours are exactly w's mapped neighbours."""
-        if used[w] or len(adj1[v]) != len(adj2[w]):
+        if used[w] or len(adj[v]) != len(adj[w]):
             return False
-        images = {mapping[u] for u in adj1[v]}
+        images = {mapping[u] for u in adj[v]}
         images.discard(-1)
-        return images == {x for x in adj2[w] if used[x]}
+        return images == {x for x in adj[w] if used[x]}
 
     def search():
         """Depth-first over order, with an explicit stack so that graphs of
@@ -189,7 +190,7 @@ def graphs_isomorphic(
     if search():
         pairs = tuple(
             sorted(
-                (g1.vertices[i].label, g2.vertices[mapping[i]].label)
+                (g1.vertices[i].label, g2.vertices[mapping[i] - n].label)
                 for i in range(n)
             )
         )

@@ -167,6 +167,8 @@ class TestErrors:
         [
             # the union gate reads one annihilator row of n residues
             ("Z/2000000 | 2", "ring has 2000000 elements, above 1000000"),
+            # no generator is a unit, and the window is refused by its size
+            ("Z/1000000 | 2,5,4", "ideal comparison needs at most 20000 elements"),
             # whose products would not fit in int64
             (
                 "Z/1000000000000 | 2",
@@ -179,6 +181,24 @@ class TestErrors:
         path.write_text(window + "\n")
         code, out, err = invoke(capsys, "conjecture", "2", "--instances", str(path))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_union_gate_counts_annihilators_without_listing_them(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = finite_ring.annihilator
+
+        def counting(spec, r):
+            calls.append(r)
+            return real(spec, r)
+
+        monkeypatch.setattr(finite_ring, "annihilator", counting)
+        monkeypatch.setattr(conjectures, "annihilator", counting, raising=False)
+        path = tmp_path / "instances.txt"
+        # a union that is not one, a unit generator, then a window too large
+        path.write_text("Z/72 | 12,18\nZ/72 | 5\nZ/1000000 | 2,5,4\n")
+        code, out, err = invoke(capsys, "conjecture", "2", "--instances", str(path))
+        assert code == 2 and err == "error: ideal comparison needs at most 20000 elements\n"
+        assert [line.split()[0] for line in out.splitlines()] == ["skipped", "skipped"]
+        assert calls == []
 
     @pytest.mark.parametrize(
         "command, ring, stderr",

@@ -18,7 +18,6 @@ from zdgraph.arithmetic import FpPoly, factor_integer, factor_polynomial, is_pri
 from zdgraph.cli import run
 from zdgraph.compressed_graph import (
     ZERO_CLASS,
-    _in_order,
     CompressedGraph,
     basis_graph,
     Graph,
@@ -90,6 +89,28 @@ class TestZeroDivisorBasis:
             FpPoly(2, (1, 1)),
             FpPoly(2, (0, 1, 1)),
         }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(1, 4)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda pe: pe[0],
+        )
+    )
+    def test_divisors_are_the_factorizations_divisors_on_integers(self, prime_powers):
+        fact = factor_integer(math.prod(p**e for p, e in prime_powers))
+        basis = zero_divisor_basis(fact)
+        assert basis.divisors() == tuple(fact.divisor(v) for v in basis.vectors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.lists(st.integers(0, 4), min_size=3, max_size=9))
+    def test_divisors_are_the_factorizations_divisors_on_polynomials(self, p, coeffs):
+        f = FpPoly(p, tuple(c % p for c in coeffs[:-1]) + (1,))  # monic, degree >= 2
+        fact = factor_polynomial(f)
+        basis = zero_divisor_basis(fact)
+        assert basis.divisors() == tuple(fact.divisor(v) for v in basis.vectors)
 
     def test_rejects_unit(self):
         from zdgraph.arithmetic import Factorization
@@ -303,6 +324,100 @@ class TestBasisGraph:
         assert list(g.edges) == expected
         loops = [covered([2 * x for x in v.exponents]) for v in g.vertices]
         assert [v.loop for v in g.vertices] == loops
+
+
+def reference_basis_edges(gen_vectors, vectors):
+    """_basis_edges as it was before it handed over one array: int64
+    comparisons, and the pairs (a, b), a < b, as a list of tuples."""
+    n = len(vectors)
+    comps = np.array(vectors, dtype=np.int64).reshape(n, len(gen_vectors[0])).T
+    needs = [np.array(s, dtype=np.int64)[:, None] - comps for s in gen_vectors]
+    edges = []
+    step = max(1, compressed_graph._EDGE_BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        hit = None
+        for need in needs:
+            h = comps[0, lo:] >= need[0, lo : lo + step, None]
+            for c, t in zip(comps[1:], need[1:]):
+                h &= c[lo:] >= t[lo : lo + step, None]
+            hit = h if hit is None else hit | h
+        rows, cols = np.nonzero(hit)
+        upper = cols > rows
+        edges.extend(zip((rows[upper] + lo).tolist(), (cols[upper] + lo).tolist()))
+    return edges
+
+
+def reference_loops(gen_vectors, vectors):
+    """basis_graph's loop flags as they were computed per vertex: 2v >= s
+    componentwise for some s."""
+    return [any(all(2 * x >= e for x, e in zip(v, s)) for s in gen_vectors) for v in vectors]
+
+
+def basis_mismatches(gen_vectors, g):
+    """Where g's edges and loop flags depart from the references on g's own
+    vertices, each as a line."""
+    vecs = [v.exponents for v in g.vertices]
+    out = []
+    if list(g.edges) != reference_basis_edges(gen_vectors, vecs):
+        out.append(f"generators {gen_vectors}: edges differ from the pair reference")
+    if [v.loop for v in g.vertices] != reference_loops(gen_vectors, vecs):
+        out.append(f"generators {gen_vectors}: loops differ from the pair reference")
+    return out
+
+
+def basis_edge_mismatches(max_vertices):
+    """Where graph_from_exponents(s, loops=True) departs from the pair
+    reference, for every s of signatures_up_to(max_vertices)."""
+    out = []
+    for s in signatures_up_to(max_vertices):
+        out.extend(basis_mismatches([s], graph_from_exponents(s, loops=True)))
+    return out
+
+
+# exponents from 0 to 300 cross the int8 (127) boundary of the comparisons
+exponent_vectors = st.integers(1, 3).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, 300)] * k), min_size=1, max_size=3),
+        st.lists(st.tuples(*[st.integers(0, 300)] * k), min_size=1, max_size=40),
+    )
+)
+
+
+class TestBasisEdgesAgainstReference:
+    """basis_graph's narrow comparisons and array hand-over against the
+    int64 pair loop it replaced. CI runs basis_edge_mismatches(400) as
+    well."""
+
+    def test_signatures_up_to_150_vertices(self):
+        assert basis_edge_mismatches(150) == []
+
+    def test_a_wrong_edge_is_caught(self, monkeypatch):
+        real = compressed_graph.graph_from_exponents
+
+        def dropped_edge(s, loops):
+            g = real(s, loops)
+            return CompressedGraph(g.vertices, g.edges[1:], g.loops_admitted) if s == (2, 1) else g
+
+        monkeypatch.setitem(globals(), "graph_from_exponents", dropped_edge)
+        assert len(basis_edge_mismatches(4)) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(exponent_vectors)
+    def test_generator_sets_duplicates_and_wide_exponents(self, given_vectors):
+        gens, vecs = given_vectors
+        # duplicate vectors are allowed: only labels must be distinct
+        vecs = vecs + vecs[: (len(vecs) + 1) // 2]
+        labels = [f"v{i}" for i in range(len(vecs))]
+        g = basis_graph(gens, vecs, labels, loops=True)
+        assert basis_mismatches(gens, g) == []
+        assert sorted(v.exponents for v in g.vertices) == sorted(vecs)
+
+    def test_exponents_at_the_int8_boundary(self):
+        for top in (126, 127, 128, 129, 255, 256, 32767, 32768):
+            gens = [(top, 1), (1, top)]
+            vecs = [(top, 0), (0, top), (top - 1, 1), (1, top - 1), (top, top), (1, 1), (0, 1)]
+            g = basis_graph(gens, vecs, [str(v) for v in vecs], loops=True)
+            assert basis_mismatches(gens, g) == [], top
 
 
 class TestGcdClassRepresentative:
@@ -608,9 +723,10 @@ def outcome(fn):
 
 
 class TestCanonicalizerAgainstReference:
-    """Edges already in canonical order are checked in one pass and kept;
-    everything else is renumbered. Either way the result, down to the type
-    of every endpoint, or the error, is the reference's."""
+    """Pairs are always renumbered; an (E, 2) integer array already in
+    canonical order is only checked, and any other is renumbered as its
+    pairs. Either way the result, down to the type of every endpoint, or
+    the error, is the reference's."""
 
     @settings(max_examples=400, deadline=None)
     @given(canonical_inputs())
@@ -634,42 +750,54 @@ class TestCanonicalizerAgainstReference:
         assert outcome(plain) == outcome(lambda: reference("simple graph admits no loops"))
 
     @settings(max_examples=400, deadline=None)
-    @given(canonical_inputs())
-    def test_in_order_accepts_only_what_the_remap_keeps(self, given_input):
+    @given(canonical_inputs(), st.sampled_from(["int8", "int16", "int64", "uint8", "uint64"]))
+    def test_an_edge_array_builds_what_its_pairs_build(self, given_input, dtype):
         labels, edges = given_input
-        if _in_order(edges, len(labels)):
-            _, canonical = reference_canonical(sorted(labels), edges, "")
-            assert typed(canonical) == typed(edges)
+        pairs = tuple(tuple(int(x) for x in e) for e in edges)
+        if dtype.startswith("u") and any(x < 0 for e in pairs for x in e):
+            dtype = "int8"
+        array = np.array(pairs, dtype=dtype).reshape(-1, 2)
+
+        def build(given):
+            g = CompressedGraph(tuple(Vertex(s) for s in labels), given)
+            h = Graph(tuple(labels), given)
+            return g, typed(g.edges), h, typed(h.edges)
+
+        from_array = outcome(lambda: build(array))
+        assert from_array == outcome(lambda: build(pairs))
+        if not isinstance(from_array[0], type):
+            typed_edges = from_array[1] + from_array[3]
+            assert all(t is int for e in typed_edges for t, _ in e[1:])
 
     @pytest.mark.parametrize(
-        "edges",
+        "array",
         [
-            ((0, 1), (0, 2), (1, 2)),
-            [(0, 1), (1, 2)],
-            (),
+            np.zeros((2, 3), dtype=np.int64),  # three ends
+            np.zeros((1, 1), dtype=np.int64),  # one end
+            np.array([0, 1]),  # one edge, flat
+            np.array([[0.0, 5.0]]),  # out of range, as floats
+            np.array([[-1.0, 1.0]]),
+            np.array([[1.0, 1.0]]),  # a self-edge, as floats
+            np.array([[0.0, 1.0]]),  # floats in range
+            np.array([[0, 1], [2, 2], [0, 9]], dtype=np.int32),  # the self-edge comes first
+            np.array([[0, 9], [2, 2]], dtype=np.uint16),  # the range error comes first
+            np.array([[0, 1], [0, 2**64 - 1]], dtype=np.uint64),  # wraps below 0 in int64
         ],
     )
-    def test_in_order_accepts_canonical_edges(self, edges):
-        assert _in_order(edges, 3)
+    def test_arrays_of_other_shapes_and_types_fail_as_their_pairs_do(self, array):
+        labels = ("a", "b", "c")
+        pairs = tuple(map(tuple, array.tolist())) if array.ndim == 2 else tuple(array.tolist())
 
-    @pytest.mark.parametrize(
-        "edges",
-        [
-            ((0, 2), (0, 1)),  # out of order
-            ((0, 1), (0, 1)),  # duplicate
-            ((1, 0),),  # reversed
-            ([0, 1],),  # a list
-            ((np.int64(0), 1),),  # a numpy int
-            ((False, True),),  # bools
-            ((0, 1, 2),),  # three ends
-            ((1, 1),),  # a self-edge
-            ((-1, 0),),
-            ((0, 3),),
-            iter([(0, 1)]),  # not a sequence
-        ],
-    )
-    def test_in_order_turns_down_what_needs_the_remap(self, edges):
-        assert not _in_order(edges, 3)
+        def compressed(edges):
+            return lambda: CompressedGraph(tuple(Vertex(s) for s in labels), edges)
+
+        def plain(edges):
+            return lambda: Graph(labels, edges)
+
+        failed = outcome(compressed(array))
+        assert isinstance(failed, tuple) and failed[0] in (ValueError, TypeError)
+        assert failed == outcome(compressed(pairs))
+        assert outcome(plain(array)) == outcome(plain(pairs))
 
 
 def _z(n):
@@ -711,8 +839,11 @@ BUILDERS = {
 
 
 class TestBuildersHandOverCanonicalOrder:
-    """Every builder sorts its vertices by label before it computes edges,
-    so what it hands _canonical is already canonical and is kept as it is."""
+    """Every builder sorts its vertices by label before it computes edges.
+    The basis and full-graph builders hand _canonical one (E, 2) integer
+    array that is already canonical, so it is only checked; the oracle's
+    class graphs and the twin quotients are small and hand over pairs,
+    which are always renumbered."""
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_labels_sorted_and_edges_in_order(self, monkeypatch, name):
@@ -726,11 +857,18 @@ class TestBuildersHandOverCanonicalOrder:
         monkeypatch.setattr(compressed_graph, "_canonical", recording)
         BUILDERS[name]()
         assert handed
-        assert any(edges for _, edges in handed)
-        for labels, edges in handed:
+        assert any(len(edges) for _, edges in handed)
+        hands_pairs = name.startswith("oracle ") or name == "twin quotient"
+        for k, (labels, edges) in enumerate(handed):
             assert labels == sorted(labels)
-            _, canonical_edges = reference_canonical(labels, edges, "")
-            assert typed(edges) == typed(canonical_edges)
+            if hands_pairs and k == len(handed) - 1:  # the builder's own graph
+                assert type(edges) is tuple
+                continue
+            assert isinstance(edges, np.ndarray)
+            assert edges.dtype.kind == "i" and edges.ndim == 2 and edges.shape[1] == 2
+            pairs = [tuple(e) for e in edges.tolist()]
+            _, canonical_edges = reference_canonical(labels, pairs, "")
+            assert pairs == list(canonical_edges)
 
 
 class TestSerialization:
