@@ -306,12 +306,14 @@ class _VectorModel:
 
     mul_rows(rows, cols) and add_rows(rows, cols) return the block of
     products or sums rows x cols as element indices; cols=None means every
-    element, so row a is a full table row.  A block's float intermediate
-    holds len(rows) x k x len(cols) digits, which block_rows(len(cols))
-    rows keep near 2^19 entries.
+    element, so row a is a full table row.  Over odd p a block's float
+    intermediate holds len(rows) x k x len(cols) digits, which
+    block_rows(len(cols)) rows keep near 2^19 entries; over F_2 it holds
+    len(rows) x 2^k words.
 
-    Products run in floating point so that numpy hands them to BLAS, and
-    they stay exact integers: each entry of a product is a sum of at most
+    The multiplication matrices, and over odd p the products, run in
+    floating point so that numpy hands them to BLAS, and they stay exact
+    integers: each entry of a product is a sum of at most
     k terms, each a digit times a digit or a digit times a coefficient of
     M, so every partial sum is an integer below B = k*(p-1)^2 whatever
     order BLAS adds in.  float32 holds every integer below 2^24, and while
@@ -324,6 +326,19 @@ class _VectorModel:
     with room to spare under float64's 2^53.  Sums of two digits
     (add_rows) stay below 2p, which is below 2^22 whenever B is, and the
     indices that digits combine into stay below p^k <= 20000.
+
+    Over F_2 an element index is a word whose bit t is digit t, and r*y
+    is the sum over the set bits j of y of r*e_j, e_j the j-th basis
+    monomial.  Adding vectors over F_2 is xor of their words, so the index
+    of r*y is the xor of the indices of the r*e_j: mul_rows reads those k
+    words off L_r and fills the row of r for every index by k xor
+    doublings.  xor carries nothing from one bit to the next, so every
+    word is exact, and each fits the word type, min_scalar_type(size - 1),
+    which holds every index below size = 2^k: whatever SCAN_LIMIT is, no
+    index wraps.  The k words are read through the float radix, exact
+    while 2^k <= 2^24, and only the requested columns of the words are
+    widened to int64.  scan_keys packs each row of L_r^T into one word
+    the same way and reduces the packed rows by xor (_row_reduce_f2).
     """
 
     def __init__(self, p: int, k: int):
@@ -346,6 +361,8 @@ class _VectorModel:
         self.M = self._structure().astype(dtype)
         self._digits_t = self._digitize(np.arange(self.size, dtype=np.int64)).T.astype(dtype)
         self._inverse = np.array([pow(a, -1, p) if a else 0 for a in range(p)], dtype=self._reduce_dtype)
+        # over F_2: an element index as a machine word, bit t its digit t
+        self._word = np.min_scalar_type(self.size - 1)
 
     @property
     def nbytes(self) -> int:
@@ -389,6 +406,17 @@ class _VectorModel:
         return self._mod_p(np.tensordot(self._digit_rows(rows), self.M, axes=([0], [1])))
 
     def mul_rows(self, rows, cols=None) -> np.ndarray:
+        if self.p == 2:
+            # words[r, j] is the index of r*e_j; the index of r*y, for y
+            # below 2^(j+1) with bit j set, is that of r*(y - 2^j) xor words[r, j]
+            words = (self.mul_matrices(rows) @ self._radix).astype(self._word)
+            table = np.empty((len(words), self.size), dtype=self._word)
+            table[:, 0] = 0
+            for j in range(self.k):
+                np.bitwise_xor(table[:, : 1 << j], words[:, j, None], out=table[:, 1 << j : 2 << j])
+            if cols is not None:
+                table = table[:, np.asarray(cols, dtype=np.int64)]
+            return table.astype(np.int64)
         digits = self._digit_rows(cols)
         lt = self.mul_matrices(rows).transpose(0, 2, 1)
         # one gemm: row (r, t) of the product is coordinate t of cols * r
@@ -408,7 +436,14 @@ class _VectorModel:
         Each element takes the key of its multiple whose highest nonzero
         digit is 1 (0 keeps its own), and the distinct multiples of the
         block go to _row_reduce as one (row, column, element) batch.
+        Over F_2 every element is its own line, and row t of L_r^T is one
+        word whose bit i is L[r, i, t]: the (row, element) batch of words
+        goes to _row_reduce_f2, and the key is the reduced words.
         """
+        if self.p == 2:
+            packed = (self._radix @ self.mul_matrices(rows)).astype(self._word).T.copy()
+            rank = _row_reduce_f2(packed, self.k)
+            return packed.T, 2 ** (self.k - rank)
         digits = self._digit_rows(rows).astype(np.int64)
         top = digits[self.k - 1 - (digits[::-1] != 0).argmax(axis=0), np.arange(digits.shape[1])]
         lines, line_of = np.unique(self.radix @ (digits * self._inverse[top] % self.p), return_inverse=True)
@@ -592,6 +627,41 @@ def _row_reduce(a: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
         factor[rank, every] += 1
         a[:, c:] += factor[:, None] * lead
         a[:, c:] %= p
+        rank += has
+    return rank
+
+
+def _row_reduce_f2(a: np.ndarray, cols: int) -> np.ndarray:
+    """_row_reduce over F_2 on packed rows: a[i, b] is row i of matrix b of
+    the batch, bit c of it the entry in column c, for the cols columns; at
+    least as many rows as columns.  Each matrix is brought to reduced row
+    echelon form in place, and the ranks are returned.
+
+    The batch runs along the last axis of a, of shape (rows, batch), and a
+    step clears column c from every row but the pivot row with one xor of
+    whole words.
+    """
+    rows, batch = a.shape
+    every = np.arange(batch)
+    row_pos = np.arange(rows)[:, None]
+    rank = np.zeros(batch, dtype=np.intp)
+    for c in range(cols):
+        bit = (a >> c) & 1
+        free = (bit != 0) & (row_pos >= rank)
+        pivot = free.argmax(axis=0)
+        has = free[pivot, every]
+        # where column c has no pivot, row rank is swapped with itself
+        pivot = np.where(has, pivot, rank)
+        lead = a[pivot, every]
+        a[pivot, every] = a[rank, every]
+        a[rank, every] = lead
+        # bit still reads the rows before the swap, and rows rank..pivot - 1
+        # have no bit c: it flags every row to clear, and row pivot, which
+        # now holds the old row rank (no bit c) or the pivot row itself;
+        # lead is all zero where column c has no pivot
+        bit[pivot, every] = 0
+        lead *= has
+        a ^= bit * lead
         rank += has
     return rank
 

@@ -20,7 +20,7 @@ import pytest
 from zdgraph import conjectures, isomorphism, sweeps
 from zdgraph.arithmetic import FpPoly, factor_integer
 from zdgraph.cli import run
-from zdgraph.compressed_graph import CompressedGraph, Graph, graph_from_factorization
+from zdgraph.compressed_graph import CompressedGraph, Graph, Vertex, graph_from_factorization
 from zdgraph.conjectures import (
     check_conjecture2,
     check_conjecture3,
@@ -58,6 +58,11 @@ def drop_vertex(g, label):
 def rename_vertex(g, old, new):
     verts = tuple(replace(v, label=new) if v.label == old else v for v in g.vertices)
     return CompressedGraph(verts, g.edges, g.loops_admitted)
+
+
+def add_vertex(g, *args, **kw):
+    """g with one more vertex, "planted", that no ring has: every ring fails."""
+    return CompressedGraph(g.vertices + (Vertex("planted", size=1),), g.edges, g.loops_admitted)
 
 
 def flip_loop(g, label):
@@ -142,6 +147,25 @@ class TestRouteComparison:
             "F2[x]/(x^3+x^2): edge sets differ under residue map (loops=False)",
         )
 
+    @pytest.mark.parametrize(
+        "sweep, first, last",
+        [
+            (lambda: sweeps.oracle_equivalence_sweep(max_n=300), "Z/2", "Z/22"),
+            # F_2 rings, whose oracle graphs the word path builds: the 4 of
+            # degree 2, the 8 of degree 3, and 9 of degree 4
+            (lambda: sweeps.polynomial_oracle_sweep(ps=(2,), max_deg=10), "F2[x]/(x^2)", "F2[x]/(x^4+1)"),
+        ],
+    )
+    def test_stops_past_twenty_failures(self, monkeypatch, sweep, first, last):
+        # every oracle graph gains a vertex: each ring fails once, at its
+        # unlooped graph, and the sweep stops at the 21st
+        plant(monkeypatch, sweeps, "oracle_compressed_graph", add_vertex)
+        out = sweep()
+        assert (out.checked, len(out.failures)) == (21, 21)
+        assert (out.failures[0], out.failures[-1]) == tuple(
+            f"{tag}: vertex sets differ under residue map (loops=False)" for tag in (first, last)
+        )
+
 
 class TestVerifyCommand:
     """verify prints each failing sweep's failures and exits 4, with the
@@ -216,6 +240,15 @@ class TestBlowup:
         assert self.sweep().failures == (
             "Z/12: class adjacency fails to predict element products",
         )
+
+    def test_stops_past_twenty_failures(self, monkeypatch):
+        # every compressed graph gains a class that no element belongs to,
+        # so each ring's object check fails, Z/2 and Z/3 too, whose graphs
+        # are otherwise empty; the sweep stops at Z/22, before the extra spec
+        plant(monkeypatch, sweeps, "oracle_compressed_graph", add_vertex)
+        out = sweeps.blowup_sweep(max_n=300, object_level_max=300, extra_specs=(Z12,))
+        assert (out.checked, len(out.failures)) == (21, 21)
+        assert out.failures == tuple(f"Z/{n}: expansion vertex set differs from full graph" for n in range(2, 23))
 
 
 def wrong_residues(fault):

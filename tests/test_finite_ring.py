@@ -49,7 +49,7 @@ from zdgraph.finite_ring import (
     standard_monomials,
     zero_divisor_classes,
 )
-from zdgraph.finite_ring import _row_reduce
+from zdgraph.finite_ring import _row_reduce, _row_reduce_f2
 
 F2XY = BivariateMonomialQuotient(2, ((2, 0), (0, 2)))
 
@@ -470,6 +470,23 @@ def matrix_batches(draw):
     return p, a
 
 
+@st.composite
+def f2_word_batches(draw):
+    """(cols, a batch of F_2 matrices as words, batch last): a[i, b] is row
+    i of matrix b, square or 2*cols x cols, up to 14 columns, in the word
+    type of a ring of 2^cols elements; many rows are zero or one bit, so
+    that ranks fall short, and some matrices are all zero."""
+    cols = draw(st.integers(1, 14))
+    rows = cols * draw(st.integers(1, 2))
+    batch = draw(st.integers(1, 12))
+    word = st.sampled_from((0, 0, 1 << (cols - 1))) | st.sampled_from([1 << c for c in range(cols)])
+    word |= st.integers(0, 2**cols - 1)
+    a = np.array(draw(st.lists(word, min_size=rows * batch, max_size=rows * batch)))
+    a = a.reshape(rows, batch).astype(np.min_scalar_type(2**cols - 1))
+    a[:, np.array(draw(st.lists(st.booleans(), min_size=batch, max_size=batch)))] = 0
+    return cols, a
+
+
 class TestRowReduce:
     """The batch-last elimination must give the same reduced matrices and
     ranks as the batch-first reference."""
@@ -489,6 +506,22 @@ class TestRowReduce:
         rank = _row_reduce(got, p, inverse)
         assert rank.tolist() == expected_rank.tolist()
         assert np.array_equal(got.transpose(2, 0, 1), expected)
+
+    @given(f2_word_batches())
+    @example((1, np.zeros((1, 1), dtype=np.uint8)))
+    @example((14, np.array([[0x2000, 0x3FFF], [0x2001, 0], [1, 0x3FFF]] + [[0, 0]] * 11, dtype=np.uint16)))
+    @example((14, np.array([[1 << (13 - i)] for i in range(14)], dtype=np.uint16)))
+    @settings(max_examples=200, deadline=None)
+    def test_packed_rows_over_f2_match_reference(self, batch):
+        # _row_reduce_f2 holds row i of matrix b as the word a[i, b], bit c
+        # its entry in column c; unpacked, it must reduce as the reference
+        cols, a = batch
+        expected = (a.T[:, :, None] >> np.arange(cols)) & 1
+        expected_rank = reference_row_reduce(expected, 2, np.array([0, 1]))
+        got = a.copy()
+        rank = _row_reduce_f2(got, cols)
+        assert rank.tolist() == expected_rank.tolist()
+        assert np.array_equal((got.T[:, :, None] >> np.arange(cols)) & 1, expected)
 
 
 def reference_matrices(model, rows):
@@ -652,6 +685,23 @@ class TestVectorKernel:
         if hasattr(model, "mul_matrices"):
             for r in (rows, rows[:0]):
                 assert np.array_equal(model.mul_matrices(r), reference_matrices(model, r))
+
+    @given(st.one_of(poly_quotients(), bivariate_quotients(), vector_quotients()), st.integers(0, 2**32 - 1))
+    # 2^14 elements, whose indices need a 16-bit word: x^14+x+1 is a
+    # product of three irreducibles of degrees 2, 5 and 7, x^14 gives a
+    # chain ring, and the last is bivariate
+    @example(parse_ring_spec("F2[x]/(x^14+x+1)"), 0)
+    @example(parse_ring_spec("F2[x]/(x^14)"), 1)
+    @example(parse_ring_spec("F2[x,y]/(x^7,y^2)"), 2)
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_full_rows_and_column_subsets(self, spec, seed):
+        model = ring_table(spec).model
+        rng = np.random.default_rng(seed)
+        rows = np.r_[0, model.size - 1, rng.integers(0, model.size, 6)]
+        cols = rng.choice(model.size, min(model.size, 300), replace=False)
+        for c in (None, cols, np.sort(cols), cols[:1]):
+            assert np.array_equal(model.mul_rows(rows, c), reference_products(spec, rows, c))
+        assert np.array_equal(model.mul_matrices(rows), reference_matrices(model, rows))
 
     @pytest.mark.parametrize("p", [2039, 2053, 4099])
     def test_fields_either_side_of_the_float32_bound(self, p):
