@@ -39,6 +39,7 @@ from .conjectures import (
     ring_keys,
 )
 from .finite_ring import (
+    SCAN_LIMIT,
     GrammarError,
     IntegersMod,
     PolyQuotient,
@@ -220,6 +221,11 @@ def _verify_outcomes(sweeps, max_n: int) -> list[SweepOutcome]:
 
 
 def _cmd_verify(args, out) -> int:
+    # the scan's refusal of Z/(SCAN_LIMIT + 1), before any ring is checked
+    if args.max_n > SCAN_LIMIT:
+        raise RingTooLarge(
+            f"annihilator scan needs at most {SCAN_LIMIT} elements, ring has {SCAN_LIMIT + 1}"
+        )
     names = ("oracle-equivalence", "gcd-theorem", "blow-up")
     # named at call time, so a wrapper bound over a zdgraph.cli name sees
     # every call

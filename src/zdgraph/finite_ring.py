@@ -100,7 +100,7 @@ SCAN_LIMIT = 20000
 TABLE_BUDGET = 64 * 2**20
 # Declared sizes beyond array buffers: an object with a few attributes and
 # its instance dict, one ndarray header, and one annihilator group's tuple,
-# members view and ints (its mask bytes are counted apart).
+# members view and ints.
 _OBJECT_BYTES = 384
 _ARRAY_BYTES = 112
 _GROUP_BYTES = 300
@@ -672,7 +672,6 @@ def _row_reduce_f2(a: np.ndarray, cols: int) -> np.ndarray:
 class _Group(NamedTuple):
     first: int
     members: np.ndarray  # a read-only slice of one buffer shared by the scan
-    mask: bytes
     ann_count: int
 
 
@@ -684,9 +683,9 @@ class _Scan(NamedTuple):
     @property
     def nbytes(self) -> int:
         """Declared size: class_ids, the int32 buffer of the same length
-        that the groups' members slice, and each group's mask and objects."""
+        that the groups' members slice, and each group's objects."""
         arrays = 2 * (_ARRAY_BYTES + self.class_ids.nbytes)
-        return _OBJECT_BYTES + arrays + sum(_GROUP_BYTES + len(g.mask) for g in self.groups)
+        return _OBJECT_BYTES + arrays + _GROUP_BYTES * len(self.groups)
 
 
 def _annihilator_scan(model) -> _Scan:
@@ -697,10 +696,9 @@ def _annihilator_scan(model) -> _Scan:
     the multiplication table, F_p-algebras by a canonical form of the
     element's multiplication matrix (see _VectorModel.scan_keys).  Group ids follow first appearance in
     enumeration order, which makes everything downstream deterministic.
-    Each group's annihilator mask comes from one table row of its first
-    member, checked against the size the key predicted.  The members of
-    every group are slices of one int32 buffer: the elements sorted by
-    group id.
+    The annihilator size each key predicts is checked against one table row
+    of its group's first member.  The members of every group are slices of
+    one int32 buffer: the elements sorted by group id.
     """
     n = model.size
     if n > SCAN_LIMIT:
@@ -723,24 +721,21 @@ def _annihilator_scan(model) -> _Scan:
                 ann_counts.append(int(counts[first[u]]))
             local[u] = gid
         class_ids[start : start + len(keys)] = local[inverse.ravel()]
-    masks: list[bytes] = []
     block = model.block_rows(n)
     for start in range(0, len(firsts), block):
         reps = firsts[start : start + block]
-        zero = model.mul_rows(reps) == 0
-        packed = np.packbits(zero, axis=1)
-        for offset, popcount in enumerate(zero.sum(axis=1)):
-            if popcount != ann_counts[start + offset]:
+        popcounts = np.count_nonzero(model.mul_rows(reps) == 0, axis=1)
+        for rep, popcount, count in zip(reps, popcounts, ann_counts[start : start + block]):
+            if popcount != count:
                 raise AssertionError(
-                    f"internal error: element {reps[offset]} annihilates {popcount} "
-                    f"elements, its scan key predicted {ann_counts[start + offset]}"
+                    f"internal error: element {rep} annihilates {popcount} "
+                    f"elements, its scan key predicted {count}"
                 )
-            masks.append(packed[offset].tobytes())
     by_class = np.argsort(class_ids, kind="stable").astype(np.int32)
     by_class.flags.writeable = False
     class_ids.flags.writeable = False
     ends = np.cumsum(np.bincount(class_ids, minlength=len(firsts)))
-    groups = tuple(map(_Group, firsts, np.split(by_class, ends[:-1]), masks, ann_counts))
+    groups = tuple(map(_Group, firsts, np.split(by_class, ends[:-1]), ann_counts))
     zd_gids = tuple(gid for gid, g in enumerate(groups) if g.ann_count >= 2 and g.first != 0)
     return _Scan(class_ids, groups, zd_gids)
 
@@ -754,8 +749,8 @@ class RingTable:
     model: the index arithmetic of the ring (size, mul_rows, element, index).
     scan: the annihilator scan, built on first use: class_ids[i] is the
       group of element i; groups[g] has fields first (the least member),
-      members, mask (packed annihilator bits) and ann_count; zd_gids lists
-      the groups of nonzero zero-divisors.
+      members and ann_count; zd_gids lists the groups of nonzero
+      zero-divisors.
     keep(build): build(spec) once for a caller that reuses what it builds.
     labels(idx): element_label of each element index of idx.
     nbytes: the declared sizes of the model, the scan once built, and what
@@ -856,11 +851,6 @@ def enumerate_elements(spec) -> list:
     return [model.element(i) for i in range(model.size)]
 
 
-def _mask_indices(mask: bytes, n: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(mask, dtype=np.uint8))[:n]
-    return np.flatnonzero(bits)
-
-
 def annihilator(spec, r) -> list:
     """Every x with r*x = 0, in enumeration order."""
     model, zero = _annihilator_row(spec, r)
@@ -884,22 +874,19 @@ def zero_divisor_classes(spec) -> list[AnnihilatorClass]:
     """Annihilator classes of the nonzero zero-divisors, by first appearance."""
     ring = ring_table(spec)
     scan, model = ring.scan, ring.model
-    out = []
-    for gid in scan.zd_gids:
-        g = scan.groups[gid]
-        ann = _mask_indices(g.mask, model.size)
-        rep = g.first
-        self_ann = bool((g.mask[rep // 8] >> (7 - rep % 8)) & 1)
-        out.append(
-            AnnihilatorClass(
-                representative=model.element(rep),
-                members=tuple(model.element(m) for m in g.members),
-                annihilator=tuple(model.element(int(i)) for i in ann),
-                size=len(g.members),
-                is_self_annihilating=self_ann,
-            )
+    groups = [scan.groups[gid] for gid in scan.zd_gids]
+    # the annihilator of each class: the zeros of its representative's row
+    zero = model.mul_rows([g.first for g in groups]) == 0
+    return [
+        AnnihilatorClass(
+            representative=model.element(g.first),
+            members=tuple(model.element(m) for m in g.members),
+            annihilator=tuple(model.element(int(i)) for i in np.flatnonzero(row)),
+            size=len(g.members),
+            is_self_annihilating=bool(row[g.first]),
         )
-    return out
+        for g, row in zip(groups, zero)
+    ]
 
 
 def oracle_compressed_graph(spec, loops: bool) -> CompressedGraph:

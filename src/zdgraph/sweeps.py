@@ -51,23 +51,33 @@ class SweepOutcome:
         return not self.failures
 
 
-def _compare_routes(fact: Factorization, spec, residue, failures, tag):
-    """Check d -> residue(d) maps the basis graph onto the oracle graph."""
+def _each_ring(name: str, rings, check) -> SweepOutcome:
+    """check(*ring, failures, tag) for each (tag, *ring) of rings, in order;
+    checked counts rings, and the sweep stops once more than 20 failures are in."""
+    failures: list[str] = []
+    checked = 0
+    for tag, *ring in rings:
+        check(*ring, failures, tag)
+        checked += 1
+        if len(failures) > 20:
+            break
+    return SweepOutcome(name, checked, tuple(failures))
+
+
+def _compare_routes(fact: Factorization, spec, failures, tag):
+    """Check the basis graph of fact against the oracle graph of spec as both
+    routes print them: each proper divisor is its own residue, so the residue
+    map the failure texts name is the identity."""
     for loops in (False, True):
         basis = graph_from_factorization(fact, loops=loops)
         oracle = oracle_compressed_graph(spec, loops=loops)
-        labels = [element_label(spec, residue(fact.divisor(v.exponents))) for v in basis.vertices]
-        if len(set(labels)) != len(labels):
-            failures.append(f"{tag}: residue map merges basis vertices (loops={loops})")
-            return
-        mapped = basis.relabel(labels)
-        if [v.label for v in mapped.vertices] != [v.label for v in oracle.vertices]:
+        if [v.label for v in basis.vertices] != [v.label for v in oracle.vertices]:
             failures.append(f"{tag}: vertex sets differ under residue map (loops={loops})")
             return
-        if mapped.edges != oracle.edges:
+        if basis.edges != oracle.edges:
             failures.append(f"{tag}: edge sets differ under residue map (loops={loops})")
             return
-        if loops and [v.loop for v in mapped.vertices] != [v.loop for v in oracle.vertices]:
+        if loops and [v.loop for v in basis.vertices] != [v.loop for v in oracle.vertices]:
             failures.append(f"{tag}: loop sets differ under residue map (loops={loops})")
             return
         if vertex_count(fact) != len(oracle.vertices):
@@ -78,27 +88,15 @@ def _compare_routes(fact: Factorization, spec, residue, failures, tag):
 def oracle_equivalence_sweep(max_n: int = 2000, min_n: int = 2) -> SweepOutcome:
     """Basis route vs oracle route on Z/n for every n in min_n..max_n;
     checked counts rings."""
-    failures: list[str] = []
-    checked = 0
-    for n in range(min_n, max_n + 1):
-        _compare_routes(factor_integer(n), IntegersMod(n), lambda d: d % n, failures, f"Z/{n}")
-        checked += 1
-        if len(failures) > 20:
-            break
-    return SweepOutcome("oracle_equivalence", checked, tuple(failures))
+    rings = ((f"Z/{n}", factor_integer(n), IntegersMod(n)) for n in range(min_n, max_n + 1))
+    return _each_ring("oracle_equivalence", rings, _compare_routes)
 
 
 def polynomial_oracle_sweep(ps=(2, 3, 5), max_deg: int = 4) -> SweepOutcome:
     """Basis route vs oracle route on F_p[x]/(f) for every monic f."""
-    failures: list[str] = []
-    checked = 0
-    for p, f in ((p, f) for p in ps for deg in range(2, max_deg + 1) for f in monic_polys(p, deg)):
-        spec = PolyQuotient(p, f)
-        _compare_routes(factor_polynomial(f, p), spec, lambda d: d % f, failures, f"F{p}[x]/({f})")
-        checked += 1
-        if len(failures) > 20:
-            break
-    return SweepOutcome("polynomial_oracle", checked, tuple(failures))
+    polys = ((p, f) for p in ps for deg in range(2, max_deg + 1) for f in monic_polys(p, deg))
+    rings = ((f"F{p}[x]/({f})", factor_polynomial(f, p), PolyQuotient(p, f)) for p, f in polys)
+    return _each_ring("polynomial_oracle", rings, _compare_routes)
 
 
 def gcd_theorem_sweep(max_n: int = 500, min_n: int = 2) -> SweepOutcome:
@@ -162,6 +160,12 @@ def _blowup_matrix_check(spec, failures, tag):
             return
 
 
+def _blowup_check(spec, object_level: bool, failures, tag):
+    if object_level:
+        _blowup_object_check(spec, failures, tag)
+    _blowup_matrix_check(spec, failures, tag)
+
+
 def blowup_sweep(
     max_n: int = 2000, object_level_max: int = 300, extra_specs=(), min_n: int = 2
 ) -> SweepOutcome:
@@ -173,21 +177,11 @@ def blowup_sweep(
     packaging. Rings up to object_level_max, and every extra spec, get both
     checks: they also go through the public expand_to_full_graph path.
     """
-    failures: list[str] = []
-    checked = 0
-    for n in range(min_n, max_n + 1):
-        spec = IntegersMod(n)
-        if n <= object_level_max:
-            _blowup_object_check(spec, failures, f"Z/{n}")
-        _blowup_matrix_check(spec, failures, f"Z/{n}")
-        checked += 1
-        if len(failures) > 20:
-            return SweepOutcome("blowup", checked, tuple(failures))
-    for spec in extra_specs:
-        _blowup_object_check(spec, failures, repr(spec))
-        _blowup_matrix_check(spec, failures, repr(spec))
-        checked += 1
-    return SweepOutcome("blowup", checked, tuple(failures))
+    rings = chain(
+        ((f"Z/{n}", IntegersMod(n), n <= object_level_max) for n in range(min_n, max_n + 1)),
+        ((repr(spec), spec, True) for spec in extra_specs),
+    )
+    return _each_ring("blowup", rings, _blowup_check)
 
 
 def nz_lemma_sweep(specs) -> SweepOutcome:

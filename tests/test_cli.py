@@ -301,6 +301,30 @@ class TestVerify:
         assert all(line.endswith("pass") for line in lines[1:])
 
 
+class TestVerifyAboveScanLimit:
+    def test_refused_before_any_ring(self, monkeypatch, capsys):
+        # the error the scan of the first ring above the limit raises, here
+        # before a sweep starts or a child is forked
+        above = finite_ring.SCAN_LIMIT + 1
+        with pytest.raises(RingTooLarge) as refusal:
+            sweeps.oracle_equivalence_sweep(max_n=above, min_n=above)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("verify forked"))
+        for name in ("oracle_equivalence_sweep", "gcd_theorem_sweep", "blowup_sweep"):
+            monkeypatch.setattr(cli, name, lambda **kw: pytest.fail("verify ran a sweep"))
+        code, out, err = invoke(capsys, "verify", "--max-n", str(above))
+        assert (code, out, err) == (2, "", f"error: {refusal.value}\n")
+        assert err == "error: annihilator scan needs at most 20000 elements, ring has 20001\n"
+
+    def test_bound_is_the_scan_limit(self, monkeypatch, capsys):
+        monkeypatch.setattr(finite_ring, "SCAN_LIMIT", 50)
+        monkeypatch.setattr(cli, "SCAN_LIMIT", 50)
+        assert invoke(capsys, "verify", "--max-n", "50")[0] == 0
+        assert invoke(capsys, "verify", "--max-n", "51") == (
+            2, "", "error: annihilator scan needs at most 50 elements, ring has 51\n"
+        )
+
+
 class TestVerifyFanOut:
     """verify checks blocks of rings here and in forked children; its
     output, exit code and errors must not depend on how many CPUs it has."""

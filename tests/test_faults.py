@@ -20,7 +20,13 @@ import pytest
 from zdgraph import conjectures, isomorphism, sweeps
 from zdgraph.arithmetic import FpPoly, factor_integer
 from zdgraph.cli import run
-from zdgraph.compressed_graph import CompressedGraph, Graph, Vertex, graph_from_factorization
+from zdgraph.compressed_graph import (
+    CompressedGraph,
+    Graph,
+    Vertex,
+    ZeroDivisorBasis,
+    graph_from_factorization,
+)
 from zdgraph.conjectures import (
     check_conjecture2,
     check_conjecture3,
@@ -101,13 +107,23 @@ def wrong_product(spec, a, b, value):
 class TestRouteComparison:
     """oracle_equivalence_sweep and polynomial_oracle_sweep."""
 
-    def test_merged_residues(self, monkeypatch):
-        # the divisor 4 of 12 read as residue 2: two basis vertices, one label
-        plant(monkeypatch, sweeps, "element_label",
-              lambda label, spec, x: "2" if spec == Z12 and x == 4 else label)
-        out = sweeps.oracle_equivalence_sweep(max_n=12)
-        assert out.checked == 11
-        assert out.failures == ("Z/12: residue map merges basis vertices (loops=False)",)
+    @pytest.mark.parametrize(
+        "sweep, checked, first",
+        [
+            (lambda: sweeps.oracle_equivalence_sweep(max_n=40), 39, "Z/8"),
+            (lambda: sweeps.polynomial_oracle_sweep(ps=(2,), max_deg=4), 28, "F2[x]/(x^3)"),
+        ],
+    )
+    def test_rotated_divisor_walk(self, monkeypatch, sweep, checked, first):
+        # each basis label moves to the next vertex, so the labels the basis
+        # route prints sit on the wrong vertices while the set of labels
+        # stays; in Z/8 and F2[x]/(x^3) the looped vertex 4 (x^2) is now
+        # labelled 2 (x)
+        real = ZeroDivisorBasis.divisors
+        monkeypatch.setattr(ZeroDivisorBasis, "divisors", lambda self: real(self)[1:] + real(self)[:1])
+        out = sweep()
+        assert (out.checked, len(out.failures)) == (checked, 12)
+        assert out.failures[0] == f"{first}: loop sets differ under residue map (loops=True)"
 
     @pytest.mark.parametrize("loops", [False, True])
     @pytest.mark.parametrize(
@@ -189,8 +205,11 @@ failure[blow-up]: Z/250: expansion vertex set differs from full graph
         # with 16 rings a block, Z/12 is in block 0, Z/30 in block 1 and
         # Z/250 in block 15: this process and the children each meet one
         broken = {IntegersMod(12), IntegersMod(30), IntegersMod(250)}
-        plant(monkeypatch, sweeps, "element_label",
-              lambda label, spec, x: label + "x" if spec in broken else label)
+
+        def fault(g, spec, loops):
+            return g.relabel([v.label + "x" for v in g.vertices]) if spec in broken else g
+
+        plant(monkeypatch, sweeps, "oracle_compressed_graph", fault)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         forks = []
         real_fork = os.fork
@@ -249,6 +268,13 @@ class TestBlowup:
         out = sweeps.blowup_sweep(max_n=300, object_level_max=300, extra_specs=(Z12,))
         assert (out.checked, len(out.failures)) == (21, 21)
         assert out.failures == tuple(f"Z/{n}: expansion vertex set differs from full graph" for n in range(2, 23))
+
+    def test_stops_past_twenty_failures_among_extra_specs(self, monkeypatch):
+        # Z/2 fails, then 20 of the 30 extra specs: the 21st failure stops the sweep
+        plant(monkeypatch, sweeps, "oracle_compressed_graph", add_vertex)
+        out = sweeps.blowup_sweep(max_n=2, extra_specs=(Z12,) * 30)
+        assert (out.checked, len(out.failures)) == (21, 21)
+        assert out.failures[-1] == "IntegersMod(n=12): expansion vertex set differs from full graph"
 
 
 def wrong_residues(fault):

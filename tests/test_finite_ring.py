@@ -275,7 +275,7 @@ class TestZeroDivisorClasses:
 def reference_scan(model):
     """Group the elements of a model by the zero pattern of their full
     multiplication-table row, by first appearance: class ids, (first,
-    members, ann_count, mask) per group, and the ids of the nonzero
+    members, ann_count) per group, and the ids of the nonzero
     zero-divisor groups."""
     n = model.size
     block = max(1, 2**16 // n)
@@ -286,7 +286,7 @@ def reference_scan(model):
             mask = np.packbits(row).tobytes()
             if mask not in gid_of:
                 gid_of[mask] = len(groups)
-                groups.append((start + offset, [], int(row.sum()), mask))
+                groups.append((start + offset, [], int(row.sum())))
             groups[gid_of[mask]][1].append(start + offset)
             class_ids.append(gid_of[mask])
     zd_gids = tuple(gid for gid, g in enumerate(groups) if g[2] >= 2 and g[0] != 0)
@@ -297,7 +297,7 @@ def assert_scan_matches_reference(spec):
     scan = ring_table(spec).scan
     class_ids, groups, zd_gids = reference_scan(ring_table(spec).model)
     assert scan.class_ids.tolist() == class_ids
-    assert [(g.first, g.members.tolist(), g.ann_count, g.mask) for g in scan.groups] == groups
+    assert [(g.first, g.members.tolist(), g.ann_count) for g in scan.groups] == groups
     assert scan.zd_gids == zd_gids
 
 
@@ -662,7 +662,7 @@ class TestQuotientModel:
         scan = ring_table(spec).scan
         class_ids, groups, zd_gids = reference_scan(ref)
         assert scan.class_ids.tolist() == class_ids
-        assert [(g.first, g.members.tolist(), g.ann_count, g.mask) for g in scan.groups] == groups
+        assert [(g.first, g.members.tolist(), g.ann_count) for g in scan.groups] == groups
         assert scan.zd_gids == zd_gids
         assert format_ring_spec(spec) == ref.format()
 
