@@ -17,8 +17,9 @@ canonical_form gives one graph a key that is equal for two graphs exactly
 when they are isomorphic, so many graphs are compared by comparing keys. It
 searches by individualization and refinement, pruning children that a
 found automorphism maps onto a child already searched (McKay & Piperno,
-Practical graph isomorphism, II, J. Symbolic Comput. 60, 2014), and
-re-checks its key by relabeling the graph before it is returned.
+Practical graph isomorphism, II, J. Symbolic Comput. 60, 2014). One check
+certifies a pairing and a key's labeling alike: each must be a permutation
+of the vertices that keeps their attributes and maps edges onto edges.
 """
 
 from __future__ import annotations
@@ -58,33 +59,35 @@ def _adjacency(g: CompressedGraph) -> list[set[int]]:
     return adj
 
 
-def _verify_witness(g1, g2, pairs, respect_loops, respect_sizes):
-    index1 = {v.label: i for i, v in enumerate(g1.vertices)}
-    index2 = {v.label: i for i, v in enumerate(g2.vertices)}
-    n = len(g1.vertices)
-    if n != len(g2.vertices) or len(pairs) != n or len({b for _, b in pairs}) != n:
+def _is_isomorphism(attrs1, edges1, attrs2, edges2, image) -> bool:
+    """Whether vertex i -> image[i] maps graph 1 onto graph 2: image is a
+    permutation of range(n) that keeps every vertex's attributes, so it maps
+    the edges one to one, onto graph 2's exactly when the counts agree and
+    every image of an edge is an edge."""
+    n = len(attrs1)
+    if len(attrs2) != n or sorted(image) != list(range(n)) or len(edges1) != len(edges2):
         return False
-    mapping = {}
-    for a, b in pairs:
-        if a not in index1 or b not in index2:
-            return False
-        mapping[index1[a]] = index2[b]
-    for i in range(n):
-        vi, wi = g1.vertices[i], g2.vertices[mapping[i]]
-        if respect_loops and vi.loop != wi.loop:
-            return False
-        if respect_sizes and vi.size != wi.size:
-            return False
-    # the pairing is a bijection, so it maps g1's edges one to one onto
-    # g2's exactly when the counts agree and every image is an edge of g2
-    if len(g1.edges) != len(g2.edges):
+    if any(a != attrs2[w] for a, w in zip(attrs1, image)):
         return False
-    e2 = set(g2.edges)
-    for i, j in g1.edges:
-        a, b = mapping[i], mapping[j]
+    e2 = set(edges2)
+    for i, j in edges1:
+        a, b = image[i], image[j]
         if (min(a, b), max(a, b)) not in e2:
             return False
     return True
+
+
+def _verify_witness(g1, g2, pairs, respect_loops, respect_sizes):
+    index1 = {v.label: i for i, v in enumerate(g1.vertices)}
+    index2 = {v.label: i for i, v in enumerate(g2.vertices)}
+    image = [-1] * len(g1.vertices)  # a g1 label left out keeps its -1
+    for a, b in pairs:
+        if a not in index1 or b not in index2:
+            return False
+        image[index1[a]] = index2[b]
+    attrs1 = _attributes(g1, respect_loops, respect_sizes)
+    attrs2 = _attributes(g2, respect_loops, respect_sizes)
+    return len(pairs) == len(image) and _is_isomorphism(attrs1, g1.edges, attrs2, g2.edges, image)
 
 
 def graphs_isomorphic(
@@ -218,10 +221,9 @@ class CanonicalForm:
 def _attributes(g: CompressedGraph, respect_loops: bool, respect_sizes: bool) -> list:
     if respect_sizes and any(v.size is None for v in g.vertices):
         raise ValueError("respect_sizes requires every vertex to carry a size")
-    return [
-        (v.loop if respect_loops else False, v.size if respect_sizes else 0)
-        for v in g.vertices
-    ]
+    attrs = ((v.loop if respect_loops else False, v.size if respect_sizes else 0) for v in g.vertices)
+    shared: dict[tuple, tuple] = {}  # n pointers to a few tuples, not n tuples
+    return [shared.setdefault(a, a) for a in attrs]
 
 
 def _equitable(colors: list[int], adj: list[set[int]]) -> list[int]:
@@ -359,17 +361,14 @@ def canonical_form(
     isomorphic graphs in the sense of graphs_isomorphic with those flags.
 
     Raises SearchBudgetExceeded when the search needs more than budget
-    nodes. The key is checked before it is returned: g renamed by the
-    labeling, in CompressedGraph's own canonical order, must read as the
-    key.
+    nodes. The key is checked before it is returned: read as a graph, it
+    must be the image of g under the labeling.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
     attrs = _attributes(g, respect_loops, respect_sizes)
     key, labeling, nodes = _canonical_search(attrs, _adjacency(g), budget)
-    width = len(str(len(attrs)))
-    renamed = g.relabel([f"{p:0{width}d}" for p in labeling])
-    if (tuple(_attributes(renamed, respect_loops, respect_sizes)), renamed.edges) != key:
+    if not _is_isomorphism(attrs, g.edges, *key, labeling):
         raise AssertionError("internal error: canonical labeling failed verification")
     return CanonicalForm(key, labeling, nodes)
 

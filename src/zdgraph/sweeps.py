@@ -9,10 +9,8 @@ errors.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -66,19 +64,18 @@ def _each_ring(name: str, rings, check) -> SweepOutcome:
 
 def _compare_routes(fact: Factorization, spec, failures, tag):
     """Check the basis graph of fact against the oracle graph of spec as both
-    routes print them: each proper divisor is its own residue, so the residue
-    map the failure texts name is the identity."""
+    routes print them: each proper divisor is its own residue."""
     for loops in (False, True):
         basis = graph_from_factorization(fact, loops=loops)
         oracle = oracle_compressed_graph(spec, loops=loops)
         if [v.label for v in basis.vertices] != [v.label for v in oracle.vertices]:
-            failures.append(f"{tag}: vertex sets differ under residue map (loops={loops})")
+            failures.append(f"{tag}: vertex sets differ (loops={loops})")
             return
         if basis.edges != oracle.edges:
-            failures.append(f"{tag}: edge sets differ under residue map (loops={loops})")
+            failures.append(f"{tag}: edge sets differ (loops={loops})")
             return
         if loops and [v.loop for v in basis.vertices] != [v.loop for v in oracle.vertices]:
-            failures.append(f"{tag}: loop sets differ under residue map (loops={loops})")
+            failures.append(f"{tag}: loop sets differ (loops={loops})")
             return
         if vertex_count(fact) != len(oracle.vertices):
             failures.append(f"{tag}: vertex_count formula disagrees with oracle")
@@ -208,18 +205,12 @@ class _Modulus(NamedTuple):
     n: int
     signature: tuple[int, ...]
     graph: CompressedGraph  # looped; keyed with loops ignored, it reads as unlooped
-    looped: tuple  # its canonical key
 
 
-def _keyed_moduli(max_n: int) -> list[_Modulus]:
-    """Every n in 2..max_n, factored once, its looped basis graph built and keyed
-    once: equal keys mean isomorphic graphs, so moduli are compared by key."""
-    moduli = []
-    for n in range(2, max_n + 1):
-        fact = factor_integer(n)
-        g = graph_from_factorization(fact, loops=True)
-        moduli.append(_Modulus(n, signature(fact), g, canonical_form(g).key))
-    return moduli
+def _moduli(max_n: int) -> list[_Modulus]:
+    """Every n in 2..max_n, factored once and its looped basis graph built once."""
+    facts = ((n, factor_integer(n)) for n in range(2, max_n + 1))
+    return [_Modulus(n, signature(f), graph_from_factorization(f, loops=True)) for n, f in facts]
 
 
 def signature_sufficiency_sweep(max_n: int = 300) -> SweepOutcome:
@@ -228,8 +219,11 @@ def signature_sufficiency_sweep(max_n: int = 300) -> SweepOutcome:
     failures: list[str] = []
     checked = 0
     first: dict[tuple, tuple[_Modulus, dict]] = {}
-    for m in sorted(_keyed_moduli(max_n), key=lambda m: m.signature):
-        keys = {"looped": m.looped, "unlooped": canonical_form(m.graph, respect_loops=False).key}
+    for m in sorted(_moduli(max_n), key=lambda m: m.signature):
+        keys = {
+            "looped": canonical_form(m.graph).key,
+            "unlooped": canonical_form(m.graph, respect_loops=False).key,
+        }
         base, base_keys = first.setdefault(m.signature, (m, keys))
         checked += base is not m
         failures += [
@@ -249,15 +243,17 @@ def looped_necessity_sweep(max_n: int = 300) -> SweepOutcome:
     belief to probe, not a theorem to enforce. checked counts the cross-signature
     pairs that no invariant (vertex count, loop count, degree multiset) separates.
     """
-    moduli = _keyed_moduli(max_n)
-    by_inv: dict[tuple, Counter] = {}  # signature counts per bucket of equal invariants
-    parts: dict[tuple, dict[tuple, list[_Modulus]]] = {}  # each key's moduli by signature
-    for m in moduli:
+    by_inv: dict[tuple, dict[tuple, list[_Modulus]]] = {}  # each bucket's moduli by signature
+    for m in _moduli(max_n):
         invariants = (len(m.graph.vertices), m.graph.loop_count, m.graph.degree_multiset())
-        by_inv.setdefault(invariants, Counter())[m.signature] += 1
-        parts.setdefault(m.looped, {}).setdefault(m.signature, []).append(m)
-    checked = sum(comb(b.total(), 2) - sum(comb(c, 2) for c in b.values()) for b in by_inv.values())
-    # a finding pairs two moduli from different signature parts of one key
+        by_inv.setdefault(invariants, {}).setdefault(m.signature, []).append(m)
+    tied = [list(b.values()) for b in by_inv.values() if len(b) > 1]  # buckets of 2+ signatures
+    checked = sum(len(a) * len(b) for sigs in tied for a, b in combinations(sigs, 2))
+    # isomorphic graphs share the invariants, so only tied moduli are keyed, and a
+    # finding pairs two moduli from different signature parts of one key
+    parts: dict[tuple, dict[tuple, list[_Modulus]]] = {}  # each key's moduli by signature
+    for m in chain.from_iterable(chain.from_iterable(tied)):
+        parts.setdefault(canonical_form(m.graph).key, {}).setdefault(m.signature, []).append(m)
     pairs = (product(*two) for by_sig in parts.values() for two in combinations(by_sig.values(), 2))
     findings = tuple(
         f"Z/{a.n} (signature {a.signature}) and Z/{b.n} (signature {b.signature}) "

@@ -123,7 +123,7 @@ class TestRouteComparison:
         monkeypatch.setattr(ZeroDivisorBasis, "divisors", lambda self: real(self)[1:] + real(self)[:1])
         out = sweep()
         assert (out.checked, len(out.failures)) == (checked, 12)
-        assert out.failures[0] == f"{first}: loop sets differ under residue map (loops=True)"
+        assert out.failures[0] == f"{first}: loop sets differ (loops=True)"
 
     @pytest.mark.parametrize("loops", [False, True])
     @pytest.mark.parametrize(
@@ -138,14 +138,14 @@ class TestRouteComparison:
         plant(monkeypatch, sweeps, "oracle_compressed_graph",
               lambda g, spec, **kw: fault(g) if spec == Z12 and kw["loops"] == loops else g)
         out = sweeps.oracle_equivalence_sweep(max_n=13)
-        assert out.failures == (f"Z/12: {what} sets differ under residue map (loops={loops})",)
+        assert out.failures == (f"Z/12: {what} sets differ (loops={loops})",)
 
     @pytest.mark.parametrize("label", ["2", "6"])  # 6 squares to 0 in Z/12, 2 does not
     def test_oracle_loop_flipped(self, monkeypatch, label):
         plant(monkeypatch, sweeps, "oracle_compressed_graph",
               lambda g, spec, loops: flip_loop(g, label) if spec == Z12 and loops else g)
         out = sweeps.oracle_equivalence_sweep(max_n=12)
-        assert out.failures == ("Z/12: loop sets differ under residue map (loops=True)",)
+        assert out.failures == ("Z/12: loop sets differ (loops=True)",)
 
     def test_wrong_vertex_count(self, monkeypatch):
         plant(monkeypatch, sweeps, "vertex_count", lambda c, fact: c + 1 if fact == F12 else c)
@@ -160,7 +160,7 @@ class TestRouteComparison:
         out = sweeps.polynomial_oracle_sweep(ps=(2,), max_deg=3)
         assert out.checked == 4 + 8
         assert out.failures == (
-            "F2[x]/(x^3+x^2): edge sets differ under residue map (loops=False)",
+            "F2[x]/(x^3+x^2): edge sets differ (loops=False)",
         )
 
     @pytest.mark.parametrize(
@@ -179,7 +179,7 @@ class TestRouteComparison:
         out = sweep()
         assert (out.checked, len(out.failures)) == (21, 21)
         assert (out.failures[0], out.failures[-1]) == tuple(
-            f"{tag}: vertex sets differ under residue map (loops=False)" for tag in (first, last)
+            f"{tag}: vertex sets differ (loops=False)" for tag in (first, last)
         )
 
 
@@ -192,9 +192,9 @@ sweep                  checked  failures  status
 oracle-equivalence         299         3  FAIL
 gcd-theorem              45149         0  pass
 blow-up                    299         3  FAIL
-failure[oracle-equivalence]: Z/12: vertex sets differ under residue map (loops=False)
-failure[oracle-equivalence]: Z/30: vertex sets differ under residue map (loops=False)
-failure[oracle-equivalence]: Z/250: vertex sets differ under residue map (loops=False)
+failure[oracle-equivalence]: Z/12: vertex sets differ (loops=False)
+failure[oracle-equivalence]: Z/30: vertex sets differ (loops=False)
+failure[oracle-equivalence]: Z/250: vertex sets differ (loops=False)
 failure[blow-up]: Z/12: expansion vertex set differs from full graph
 failure[blow-up]: Z/30: expansion vertex set differs from full graph
 failure[blow-up]: Z/250: expansion vertex set differs from full graph
@@ -328,14 +328,25 @@ class TestNzLemma:
 
 
 class TestCanonicalForm:
-    """The key against the graph renamed by the labeling the search returns."""
+    """The key against the image of the graph under the labeling the search
+    returns."""
 
-    def test_swapped_labeling(self, monkeypatch):
-        # Z/12 with loops is the path 2 - 6 - 4 - 3 with a loop at 6, which
-        # has no symmetry, so swapping two positions breaks the relabeling
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            # Z/12 with loops is the path 2 - 6 - 4 - 3 with a loop at 6,
+            # which has no symmetry, so swapping two positions breaks the key
+            lambda labeling: (labeling[1], labeling[0]) + labeling[2:],
+            # the last position moved to n + 5: the order is kept, but the
+            # positions are no longer 0..n-1
+            lambda labeling: tuple(p + 6 * (p == len(labeling) - 1) for p in labeling),
+        ],
+        ids=["swapped", "out_of_range"],
+    )
+    def test_broken_labeling(self, monkeypatch, broken):
         def fault(result, *args):
             key, labeling, nodes = result
-            return key, (labeling[1], labeling[0]) + labeling[2:], nodes
+            return key, broken(labeling), nodes
 
         plant(monkeypatch, isomorphism, "_canonical_search", fault)
         with pytest.raises(AssertionError) as failure:

@@ -316,6 +316,7 @@ class TestWitnessCheck:
         [
             (("a", "x"), ("b", "y"), ("c", "y")),  # y taken twice
             (("a", "x"), ("b", "y")),  # c left out
+            (("a", "x"), ("a", "y"), ("c", "z")),  # a taken twice, b left out
         ],
     )
     def test_rejects_a_pairing_that_is_not_one_to_one(self, pairs):

@@ -149,11 +149,13 @@ SIGNATURE_SWEEP_BOUNDS = (*range(2, 151), 300)
 
 @pytest.mark.parametrize(
     "sweep, expected_keys",
-    [(signature_sufficiency_sweep, {True: 59, False: 59}), (looped_necessity_sweep, {True: 59})],
+    [(signature_sufficiency_sweep, {True: 59, False: 59}), (looped_necessity_sweep, {})],
 )
 def test_one_looped_build_per_modulus(monkeypatch, sweep, expected_keys):
     # the unlooped key is the looped graph's with loops ignored, so no sweep
-    # builds a loop-free graph, and necessity never keys one
+    # builds a loop-free graph; necessity keys only the moduli whose vertex
+    # count, loop count and degree multiset tie another signature's, and up
+    # to 60 there are none
     builds, keys = Counter(), Counter()
 
     def counted(name, tally, flag, default):
