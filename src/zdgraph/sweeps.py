@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from typing import NamedTuple
 
 import numpy as np
 
 from .arithmetic import Factorization, factor_integer, factor_polynomial, monic_polys
 from .compressed_graph import (
-    CompressedGraph,
     expand_to_full_graph,
     gcd_class_residues,
     graph_from_factorization,
@@ -31,7 +29,6 @@ from .finite_ring import (
     full_zero_divisor_graph,
     oracle_compressed_graph,
     ring_table,
-    zero_divisor_classes,
 )
 # no sweep calls graphs_isomorphic; perfbench/tracer.py wraps it under this name
 from .isomorphism import canonical_form, graphs_isomorphic  # noqa: F401
@@ -120,11 +117,11 @@ def _blowup_object_check(spec, failures, tag):
         return
     expanded = expand_to_full_graph(compressed)
     full = full_zero_divisor_graph(spec)
-    rename = {}
-    for cls in zero_divisor_classes(spec):
-        label = element_label(spec, cls.representative)
-        for t, m in enumerate(cls.members, 1):
-            rename[f"{label}#{t}"] = element_label(spec, m)
+    table = ring_table(spec)
+    rename = {}  # by element_label, apart from the batch labels the full graph prints
+    for gid in table.scan.zd_gids:
+        names = [element_label(spec, table.model.element(m)) for m in table.scan.groups[gid].members]
+        rename.update((f"{names[0]}#{t}", name) for t, name in enumerate(names, 1))
     # a class the two listings name differently leaves a None
     labels = [rename.get(s) for s in expanded.labels]
     renamed = None not in labels and len(set(labels)) == len(labels)
@@ -163,19 +160,20 @@ def _blowup_check(spec, object_level: bool, failures, tag):
     _blowup_matrix_check(spec, failures, tag)
 
 
-def blowup_sweep(
-    max_n: int = 2000, object_level_max: int = 300, extra_specs=(), min_n: int = 2
-) -> SweepOutcome:
+_OBJECT_CHECK_MAX = 300  # an object check takes about 1 ms up to Z/300, 20-30 ms at Z/2000
+
+
+def blowup_sweep(max_n: int = 2000, extra_specs=(), min_n: int = 2) -> SweepOutcome:
     """Compressed-graph blow-up reproduces the full zero-divisor graph, on
     Z/n for every n in min_n..max_n and on every extra spec; checked
     counts rings.
 
     Every ring is checked as adjacency matrices, the identity without graph
-    packaging. Rings up to object_level_max, and every extra spec, get both
+    packaging. Rings up to _OBJECT_CHECK_MAX, and every extra spec, get both
     checks: they also go through the public expand_to_full_graph path.
     """
     rings = chain(
-        ((f"Z/{n}", IntegersMod(n), n <= object_level_max) for n in range(min_n, max_n + 1)),
+        ((f"Z/{n}", IntegersMod(n), n <= _OBJECT_CHECK_MAX) for n in range(min_n, max_n + 1)),
         ((repr(spec), spec, True) for spec in extra_specs),
     )
     return _each_ring("blowup", rings, _blowup_check)
@@ -201,16 +199,13 @@ def nz_lemma_sweep(specs) -> SweepOutcome:
     return SweepOutcome("nz_lemma", checked, tuple(failures))
 
 
-class _Modulus(NamedTuple):
-    n: int
-    signature: tuple[int, ...]
-    graph: CompressedGraph  # looped; keyed with loops ignored, it reads as unlooped
-
-
-def _moduli(max_n: int) -> list[_Modulus]:
-    """Every n in 2..max_n, factored once and its looped basis graph built once."""
-    facts = ((n, factor_integer(n)) for n in range(2, max_n + 1))
-    return [_Modulus(n, signature(f), graph_from_factorization(f, loops=True)) for n, f in facts]
+def _signatures(max_n: int) -> dict[tuple, list[tuple[int, Factorization]]]:
+    """Each signature's moduli with their factorizations, for n in 2..max_n in increasing n."""
+    by_sig: dict[tuple, list[tuple[int, Factorization]]] = {}
+    for n in range(2, max_n + 1):
+        fact = factor_integer(n)
+        by_sig.setdefault(signature(fact), []).append((n, fact))
+    return by_sig
 
 
 def signature_sufficiency_sweep(max_n: int = 300) -> SweepOutcome:
@@ -218,16 +213,17 @@ def signature_sufficiency_sweep(max_n: int = 300) -> SweepOutcome:
     keys against its signature's first modulus's; checked counts the moduli compared."""
     failures: list[str] = []
     checked = 0
-    first: dict[tuple, tuple[_Modulus, dict]] = {}
-    for m in sorted(_moduli(max_n), key=lambda m: m.signature):
+    first: dict[tuple, tuple[int, dict]] = {}
+    for sig, n, fact in ((s, *m) for s, ms in sorted(_signatures(max_n).items()) for m in ms):
+        graph = graph_from_factorization(fact, loops=True)  # keyed without loops: unlooped
         keys = {
-            "looped": canonical_form(m.graph).key,
-            "unlooped": canonical_form(m.graph, respect_loops=False).key,
+            "looped": canonical_form(graph).key,
+            "unlooped": canonical_form(graph, respect_loops=False).key,
         }
-        base, base_keys = first.setdefault(m.signature, (m, keys))
-        checked += base is not m
+        base, base_keys = first.setdefault(sig, (n, keys))
+        checked += base != n
         failures += [
-            f"signature {m.signature}: Z/{base.n} vs Z/{m.n} {kind} graphs differ"
+            f"signature {sig}: Z/{base} vs Z/{n} {kind} graphs differ"
             for kind in keys
             if keys[kind] != base_keys[kind]
         ]
@@ -242,22 +238,24 @@ def looped_necessity_sweep(max_n: int = 300) -> SweepOutcome:
     Any hit is reported as a finding, not a failure: this direction is a
     belief to probe, not a theorem to enforce. checked counts the cross-signature
     pairs that no invariant (vertex count, loop count, degree multiset) separates.
+    Each signature's graph is built from its first modulus alone, which relies on
+    equal signatures giving isomorphic graphs (signature_sufficiency_sweep).
     """
-    by_inv: dict[tuple, dict[tuple, list[_Modulus]]] = {}  # each bucket's moduli by signature
-    for m in _moduli(max_n):
-        invariants = (len(m.graph.vertices), m.graph.loop_count, m.graph.degree_multiset())
-        by_inv.setdefault(invariants, {}).setdefault(m.signature, []).append(m)
-    tied = [list(b.values()) for b in by_inv.values() if len(b) > 1]  # buckets of 2+ signatures
-    checked = sum(len(a) * len(b) for sigs in tied for a, b in combinations(sigs, 2))
-    # isomorphic graphs share the invariants, so only tied moduli are keyed, and a
-    # finding pairs two moduli from different signature parts of one key
-    parts: dict[tuple, dict[tuple, list[_Modulus]]] = {}  # each key's moduli by signature
-    for m in chain.from_iterable(chain.from_iterable(tied)):
-        parts.setdefault(canonical_form(m.graph).key, {}).setdefault(m.signature, []).append(m)
-    pairs = (product(*two) for by_sig in parts.values() for two in combinations(by_sig.values(), 2))
+    by_inv: dict[tuple, list] = {}  # each bucket's signatures: moduli and graph
+    for sig, moduli in _signatures(max_n).items():
+        graph = graph_from_factorization(moduli[0][1], loops=True)
+        invariants = (len(graph.vertices), graph.loop_count, graph.degree_multiset())
+        by_inv.setdefault(invariants, []).append(([(n, sig) for n, _ in moduli], graph))
+    tied = [b for b in by_inv.values() if len(b) > 1]  # buckets of 2+ signatures
+    checked = sum(len(a) * len(b) for sigs in tied for (a, _), (b, _) in combinations(sigs, 2))
+    # isomorphic graphs share the invariants, so only tied signatures are keyed, and
+    # a shared key pairs every modulus of one signature with every modulus of another
+    parts: dict[tuple, list] = {}  # each key's signatures' moduli
+    for moduli, graph in chain.from_iterable(tied):
+        parts.setdefault(canonical_form(graph).key, []).append(moduli)
+    pairs = (product(a, b) for sigs in parts.values() for a, b in combinations(sigs, 2))
     findings = tuple(
-        f"Z/{a.n} (signature {a.signature}) and Z/{b.n} (signature {b.signature}) "
-        "have isomorphic looped graphs"
-        for a, b in sorted(sorted(pair) for pair in chain.from_iterable(pairs))
+        f"Z/{a} (signature {sig_a}) and Z/{b} (signature {sig_b}) have isomorphic looped graphs"
+        for (a, sig_a), (b, sig_b) in sorted(sorted(pair) for pair in chain.from_iterable(pairs))
     )
     return SweepOutcome("looped_necessity", checked, (), findings)

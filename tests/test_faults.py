@@ -231,7 +231,7 @@ class TestBlowup:
     """blowup_sweep: the object check and the matrix check."""
 
     def sweep(self):
-        return sweeps.blowup_sweep(max_n=13, object_level_max=13)
+        return sweeps.blowup_sweep(max_n=13)
 
     def test_full_graph_missing_an_edge(self, monkeypatch):
         plant(monkeypatch, sweeps, "full_zero_divisor_graph",
@@ -265,7 +265,7 @@ class TestBlowup:
         # so each ring's object check fails, Z/2 and Z/3 too, whose graphs
         # are otherwise empty; the sweep stops at Z/22, before the extra spec
         plant(monkeypatch, sweeps, "oracle_compressed_graph", add_vertex)
-        out = sweeps.blowup_sweep(max_n=300, object_level_max=300, extra_specs=(Z12,))
+        out = sweeps.blowup_sweep(max_n=300, extra_specs=(Z12,))
         assert (out.checked, len(out.failures)) == (21, 21)
         assert out.failures == tuple(f"Z/{n}: expansion vertex set differs from full graph" for n in range(2, 23))
 

@@ -58,7 +58,7 @@ class TestGcdTheorem:
 
 class TestBlowup:
     def test_small_with_fixtures(self):
-        out = blowup_sweep(max_n=200, object_level_max=60, extra_specs=FIXTURE_SPECS)
+        out = blowup_sweep(max_n=200, extra_specs=FIXTURE_SPECS)
         assert out.failures == ()
         assert out.checked == 199 + len(FIXTURE_SPECS)
 
@@ -72,7 +72,7 @@ class TestBlowup:
             "element_label",
             lambda spec, x: "5" if spec == IntegersMod(12) and x == 4 else real(spec, x),
         )
-        out = blowup_sweep(max_n=13, object_level_max=13)
+        out = blowup_sweep(max_n=13)
         assert out.failures == ("Z/12: expansion vertex set differs from full graph",)
 
 
@@ -148,14 +148,19 @@ SIGNATURE_SWEEP_BOUNDS = (*range(2, 151), 300)
 
 
 @pytest.mark.parametrize(
-    "sweep, expected_keys",
-    [(signature_sufficiency_sweep, {True: 59, False: 59}), (looped_necessity_sweep, {})],
+    "sweep, max_n, expected_builds, expected_keys",
+    [
+        (signature_sufficiency_sweep, 60, 59, {True: 59, False: 59}),
+        (looped_necessity_sweep, 60, 12, {}),
+        (looped_necessity_sweep, 2000, 49, {}),
+    ],
 )
-def test_one_looped_build_per_modulus(monkeypatch, sweep, expected_keys):
+def test_looped_builds_and_keys(monkeypatch, sweep, max_n, expected_builds, expected_keys):
     # the unlooped key is the looped graph's with loops ignored, so no sweep
-    # builds a loop-free graph; necessity keys only the moduli whose vertex
-    # count, loop count and degree multiset tie another signature's, and up
-    # to 60 there are none
+    # builds a loop-free graph. Sufficiency builds and keys every modulus's
+    # graph (59 moduli up to 60); necessity builds one graph per signature
+    # (12 up to 60, 49 up to 2000) and keys only the signatures whose vertex
+    # count, loop count and degree multiset tie another's, and there are none
     builds, keys = Counter(), Counter()
 
     def counted(name, tally, flag, default):
@@ -169,8 +174,8 @@ def test_one_looped_build_per_modulus(monkeypatch, sweep, expected_keys):
 
     counted("graph_from_factorization", builds, "loops", None)
     counted("canonical_form", keys, "respect_loops", True)
-    sweep(max_n=60)  # the 59 moduli 2..60
-    assert builds == {True: 59}
+    sweep(max_n=max_n)
+    assert builds == {True: expected_builds}
     assert keys == expected_keys
 
 
